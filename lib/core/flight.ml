@@ -716,6 +716,36 @@ let disarm () =
 let drain_into sk =
   List.iter (fun rcd -> finish sk rcd) (Recorder.drain_registered ())
 
+(* Recorder run ids count per process, and forked workers inherit the
+   parent's counter, so two workers can hand out the same id.  The
+   supervisor renumbers each experiment's batch in registry order; every
+   line opens with {"t":"<tag>","run":<id>, so the id is found without
+   a parse and the rest of the line is kept byte for byte. *)
+let renumber_runs batches =
+  let key = ",\"run\":" in
+  let next = ref 0 in
+  List.map
+    (fun lines ->
+      let fresh = Hashtbl.create 8 in
+      List.map
+        (fun line ->
+          match String.index_opt line ',' with
+          | Some c when String.starts_with ~prefix:key
+                          (String.sub line c (String.length line - c)) ->
+              let start = c + String.length key in
+              let stop = String.index_from line start ',' in
+              let old = String.sub line start (stop - start) in
+              if not (Hashtbl.mem fresh old) then begin
+                incr next;
+                Hashtbl.add fresh old !next
+              end;
+              String.sub line 0 start
+              ^ string_of_int (Hashtbl.find fresh old)
+              ^ String.sub line stop (String.length line - stop)
+          | _ -> line)
+        lines)
+    batches
+
 (* ---------------------------------------------------------- Perfetto *)
 
 let to_chrome ?(mhz = 100) ?(name = "mmu_sim flight") tls =

@@ -20,10 +20,9 @@
 
     A {!sink} is the streaming state machine; {!arm} wires it into every
     kernel booted afterwards via {!Ppc.Recorder.set_boot_attach}.  The
-    sink writes through a caller-supplied [write] so the serial CLI can
-    stream lines to disk live (that is what [mmu_sim watch] tails) while
-    parallel runner workers buffer lines and ship them through
-    {!Runner.collect_hook}. *)
+    sink writes through a caller-supplied [write]: {!Observe.run}
+    buffers the lines in whatever process hosted each experiment and
+    ships them through {!Runner.collect_hook}. *)
 
 open Ppc
 
@@ -146,7 +145,7 @@ type timeline = {
 
 val decode_lines : string list -> (timeline list, string) result
 (** Re-integrate a JSONL stream.  A ["begin"] for an already-open run id
-    closes the old run first (distinct runner workers can reuse ids);
+    closes the old run first (concatenated timelines can reuse ids);
     runs never closed by an ["end"] line (crashed or still-running
     producer) are returned with what was streamed.  [Error] carries the
     offending line number. *)
@@ -190,8 +189,14 @@ val disarm : unit -> unit
 
 val drain_into : sink -> unit
 (** {!finish} every boot-armed recorder created since the last drain —
-    call after each experiment (the serial CLI directly, parallel
-    workers from {!Runner.collect_hook}). *)
+    call after each experiment, in the process that hosted it. *)
+
+val renumber_runs : string list list -> string list list
+(** Renumber the run ids of per-experiment line batches (given in
+    registry order) to [1, 2, ...] in order of first appearance, so a
+    timeline assembled from forked workers — whose per-process
+    {!Ppc.Recorder.run_id} counters overlap — never reuses an id and is
+    the same at every job count. *)
 
 (** {1 Export} *)
 

@@ -1,0 +1,68 @@
+(** Observed runs of registry experiments: the one place the
+    instruments are armed, collected and disarmed.
+
+    The experiment registry boots its own kernels, out of the caller's
+    reach, so observation works through process-wide boot defaults
+    (Trace, Profile, Span, Shadow, Recorder, [Kernel.set_boot_cpus] and
+    [Kernel.set_smp_register]).  {!run} arms them before any worker
+    forks, installs a {!Runner.collect_hook} that drains every registry
+    in whatever process hosted each experiment and ships one JSON
+    payload back over the result pipe, and disarms them when the run
+    ends.  Because the data is drained where it was recorded, every
+    instrument composes with any [--jobs] count, and the merged result
+    is byte-identical to a serial run. *)
+
+type spec = {
+  trace : int option;
+      (** arm event tracing; [Some n] with [n > 0] also snapshots a
+          Perf timeline every [n] simulated cycles, [Some 0] records
+          the rings only *)
+  profile : int option;
+      (** arm attribution profiling, sampling occupancy every [n]
+          cycles *)
+  spans : bool;  (** arm per-request span recorders *)
+  shadow : bool;
+      (** cross-check every translation against the reference MMU *)
+  cpus : int;  (** boot CPU count for every kernel (1 = uniprocessor) *)
+  record : (int * Flight.rule list) option;
+      (** stream flight-recorder timelines, sampling every [n] cycles,
+          under these detector rules *)
+}
+
+val nothing : spec
+(** Every instrument off, one CPU. *)
+
+type shadow_verdict = {
+  checks : int;  (** translations cross-checked *)
+  divergences : int;  (** disagreements with the reference MMU *)
+  reports : string list;
+      (** {!Ppc.Shadow.report} of each retained divergence *)
+}
+
+type result = {
+  id : string;
+  outcome : Runner.outcome;
+  observability : Json.t option;
+      (** the results document's per-experiment object: ["trace"]
+          fields, ["profile"], ["spans"], ["smp"], in that order;
+          [None] when nothing was observed *)
+  shadow : shadow_verdict;  (** all zero unless [spec.shadow] *)
+  flight : string list;
+      (** timeline lines, run ids numbered across the whole run in
+          registry order (never reused), so the file is the same at
+          every job count *)
+}
+
+val run :
+  ?jobs:int ->
+  ?seed:int ->
+  ?timeout:float ->
+  ?retries:int ->
+  spec ->
+  (string * (?seed:int -> unit -> Experiments.table)) list ->
+  result list
+(** Arm [spec], {!Runner.run_collect} the experiments, disarm (also on
+    an exception) and restore the previous {!Runner.collect_hook}.
+    Results come back in input order.  An experiment whose host died
+    before delivering carries no observability, no flight lines, and a
+    zero shadow verdict. *)

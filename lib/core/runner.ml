@@ -115,15 +115,15 @@ end
 
 (* ------------------------------------------------- payload collection *)
 
-(* Per-experiment observability payloads (span JSON today) are produced
-   in whatever process hosts the experiment — a forked worker or the
-   parent — by this hook, called right after each attempt with the
-   experiment's id.  The payload is marshalled over the same pipe as the
-   result, which is what lets span-armed runs keep [--jobs N]: the data
-   is drained where it was recorded instead of being stranded in a
-   child.  The hook must be installed before [fork] (children inherit
-   it) and should also drain any per-experiment instrument registries so
-   payloads cannot leak across experiments. *)
+(* Per-experiment observability payloads (every instrument's data, see
+   Observe) are produced in whatever process hosts the experiment — a
+   forked worker or the parent — by this hook, called right after each
+   attempt with the experiment's id.  The payload is marshalled over the
+   same pipe as the result, which is what lets instrumented runs keep
+   [--jobs N]: the data is drained where it was recorded instead of
+   being stranded in a child.  The hook must be installed before [fork]
+   (children inherit it) and should also drain any per-experiment
+   instrument registries so payloads cannot leak across experiments. *)
 let collect_hook : (string -> Json.t option) ref = ref (fun _ -> None)
 
 let collect id = try !collect_hook id with _ -> None
@@ -177,18 +177,6 @@ let attempt_timed ~timeout ~seed id f =
 let min_jobs = 1
 let max_jobs = 16
 let clamp_jobs n = max min_jobs (min n max_jobs)
-
-(* Observation layers whose data lives in the booting process (traces,
-   profilers, shadow checkers) and multi-CPU kernels cannot cross the
-   result pipe, so those runs must stay serial.  The CLI asks here which
-   of the user's requests forced that, so a --jobs downgrade is never
-   silent. *)
-let serial_forcers ~tracing ~profiled ~shadow ~cpus =
-  List.concat
-    [ (if tracing then [ "--trace/--timeline" ] else []);
-      (if profiled then [ "--profile" ] else []);
-      (if shadow then [ "--shadow" ] else []);
-      (if cpus > 1 then [ "--cpus" ] else []) ]
 
 (* First line of [cmd]'s output parsed as a positive int, if any. *)
 let probe_int cmd =

@@ -199,10 +199,10 @@ let kind_counts_json tr =
          if n = 0 then None else Some (Trace.kind_name k, Json.Int n))
        Trace.all_kinds)
 
-(* The per-run observability document embedded in experiment results:
+(* The per-run observability fields embedded in experiment results:
    merged histograms and event counts over every kernel the run booted,
    plus one timeline per kernel that sampled. *)
-let observability_json traces =
+let observability_fields traces =
   let probe = Hist.create () in
   let tlb = Hist.create () in
   let ctxsw = Hist.create () in
@@ -230,14 +230,13 @@ let observability_json traces =
         match timeline_to_json tr with Json.Null -> None | j -> Some j)
       traces
   in
-  Json.Obj
-    [ ("events", events);
-      ("histograms",
-       Json.Obj
-         [ ("htab_probe_len", hist_to_json probe);
-           ("tlb_service_cycles", hist_to_json tlb);
-           ("context_switch_cycles", hist_to_json ctxsw) ]);
-      ("timelines", Json.List timelines) ]
+  [ ("events", events);
+    ("histograms",
+     Json.Obj
+       [ ("htab_probe_len", hist_to_json probe);
+         ("tlb_service_cycles", hist_to_json tlb);
+         ("context_switch_cycles", hist_to_json ctxsw) ]);
+    ("timelines", Json.List timelines) ]
 
 (* --- text summary ----------------------------------------------------- *)
 

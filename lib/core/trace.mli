@@ -36,8 +36,8 @@ val timeline_to_json : Trace.t -> Json.t
 val kind_counts_json : Trace.t -> Json.t
 (** Event totals by kind (wrap-immune), zero kinds omitted. *)
 
-val observability_json : Trace.t list -> Json.t
-(** The per-run document embedded in experiment results when tracing is
+val observability_fields : Trace.t list -> (string * Json.t) list
+(** The per-run fields embedded in experiment results when tracing is
     armed: event totals and merged histograms across every kernel the
     run booted, plus one timeline per kernel that sampled. *)
 

@@ -325,8 +325,8 @@ let test_decode_unclosed_run () =
   | Ok _ -> Alcotest.fail "expected one open run"
 
 let test_decode_begin_reopens () =
-  (* a begin for an already-open run id closes the old run: distinct
-     forked workers can reuse process-unique ids *)
+  (* a begin for an already-open run id closes the old run:
+     concatenated timelines can reuse ids *)
   let lines =
     [ {|{"run": 1, "t": "begin", "label": "a", "every": 10}|};
       {|{"run": 1, "t": "s", "c": 10, "p": {"cycles": 10}}|};
@@ -346,6 +346,57 @@ let test_decode_begin_reopens () =
         (b.Flight.tl_label = "b" && b.Flight.tl_ended
         && Flight.pfield (List.hd b.Flight.tl_views) "cycles" = 20)
   | Ok l -> Alcotest.fail (Printf.sprintf "%d timelines" (List.length l))
+
+let begin_ids lines =
+  List.filter_map
+    (fun l ->
+      match Json.of_string l with
+      | Ok j when Json.member "t" j = Some (Json.String "begin") ->
+          Option.bind (Json.member "run" j) Json.to_int_opt
+      | _ -> None)
+    lines
+
+let test_renumber_runs () =
+  (* two batches from workers whose counters overlap: ids become
+     1, 2, ... in order of first appearance, lines otherwise untouched *)
+  let batch run label =
+    [ Printf.sprintf {|{"t":"begin","run":%d,"label":"%s","every":10}|} run label;
+      Printf.sprintf {|{"t":"s","run":%d,"c":10,"label":"run\":9"}|} run;
+      Printf.sprintf {|{"t":"end","run":%d,"label":"%s","c":10}|} run label ]
+  in
+  let out = Flight.renumber_runs [ batch 7 "a" @ batch 8 "b"; batch 7 "c" ] in
+  Alcotest.(check (list int)) "fresh ids, registry order" [ 1; 2; 3 ]
+    (begin_ids (List.concat out));
+  Alcotest.(check string) "rest of the line untouched"
+    {|{"t":"s","run":3,"c":10,"label":"run\":9"}|}
+    (List.nth (List.nth out 1) 1)
+
+let test_run_ids_unique_across_jobs () =
+  (* forked workers inherit the parent's recorder counter, so without
+     renumbering two experiments hosted by different workers would
+     share run ids and the file would depend on --jobs *)
+  let module Observe = Mmu_tricks.Observe in
+  let module Experiments = Mmu_tricks.Experiments in
+  let selected =
+    List.map
+      (fun id -> (id, (Option.get (Experiments.find id)).Experiments.run))
+      [ "D1"; "D2"; "D1" ]
+  in
+  let lines jobs =
+    List.concat_map
+      (fun r -> r.Observe.flight)
+      (Observe.run ~jobs ~seed:42
+         { Observe.nothing with
+           record = Some (20_000, Flight.default_rules) }
+         selected)
+  in
+  let serial = lines 1 in
+  let ids = begin_ids serial in
+  Alcotest.(check bool) "several runs recorded" true (List.length ids >= 3);
+  Alcotest.(check int) "no two runs share an id" (List.length ids)
+    (List.length (List.sort_uniq compare ids));
+  Alcotest.(check (list string)) "jobs=2 timeline equals jobs=1" serial
+    (lines 2)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -449,6 +500,9 @@ let suite =
     Alcotest.test_case "unclosed run decoded" `Quick test_decode_unclosed_run;
     Alcotest.test_case "begin reopens a run id" `Quick
       test_decode_begin_reopens;
+    Alcotest.test_case "renumber runs" `Quick test_renumber_runs;
+    Alcotest.test_case "run ids unique across jobs" `Quick
+      test_run_ids_unique_across_jobs;
     Alcotest.test_case "decode errors carry line numbers" `Quick
       test_decode_errors_carry_line_numbers;
     Alcotest.test_case "metric series" `Quick test_series;

@@ -3,6 +3,7 @@ module Experiments = Mmu_tricks.Experiments
 module Json = Mmu_tricks.Json
 module Runner = Mmu_tricks.Runner
 module Baseline = Mmu_tricks.Baseline
+module Observe = Mmu_tricks.Observe
 
 (* ------------------------------------------------------------- to_csv *)
 
@@ -295,27 +296,58 @@ let test_runner_serial_equals_parallel () =
       Alcotest.(check string) "seed plumbed" "W3 seed 9" t.Experiments.title
   | o -> Alcotest.fail (Runner.describe o)
 
-let test_serial_forcers () =
-  (* the CLI's non-silent-downgrade authority: every flag whose data
-     can't ship over the worker result pipe must be named, so the
-     warning (or --strict error) tells the user *why* their --jobs was
-     ignored *)
-  let f ?(tracing = false) ?(profiled = false) ?(shadow = false) ?(cpus = 1)
-      () =
-    Runner.serial_forcers ~tracing ~profiled ~shadow ~cpus
+let registry_jobs ids =
+  List.map
+    (fun id -> (id, (Option.get (Experiments.find id)).Experiments.run))
+    ids
+
+let test_observed_run_jobs_invariant () =
+  (* every instrument armed at once, on two SMP kernels per boot: what a
+     forked worker drains and ships must equal what the serial path
+     drains in-process *)
+  let spec =
+    { Observe.nothing with
+      trace = Some 20_000;
+      profile = Some 20_000;
+      spans = true;
+      shadow = true;
+      cpus = 2 }
   in
-  Alcotest.(check (list string)) "nothing forces serial" [] (f ());
-  Alcotest.(check (list string)) "trace forces serial"
-    [ "--trace/--timeline" ] (f ~tracing:true ());
-  Alcotest.(check (list string)) "profile forces serial" [ "--profile" ]
-    (f ~profiled:true ());
-  Alcotest.(check (list string)) "shadow forces serial" [ "--shadow" ]
-    (f ~shadow:true ());
-  Alcotest.(check (list string)) "smp forces serial" [ "--cpus" ]
-    (f ~cpus:4 ());
-  Alcotest.(check (list string)) "all forcers, in flag order"
-    [ "--trace/--timeline"; "--profile"; "--shadow"; "--cpus" ]
-    (f ~tracing:true ~profiled:true ~shadow:true ~cpus:2 ())
+  let run jobs =
+    Observe.run ~jobs ~seed:42 spec (registry_jobs [ "D1"; "D2" ])
+  in
+  let serial = run 1 and par = run 2 in
+  let payloads =
+    List.map (fun r -> (r.Observe.id, r.Observe.observability))
+  in
+  let totals =
+    List.fold_left
+      (fun (c, d) r ->
+        (c + r.Observe.shadow.checks, d + r.Observe.shadow.divergences))
+      (0, 0)
+  in
+  List.iter
+    (fun r ->
+      match (r.Observe.outcome, r.Observe.observability) with
+      | Runner.Done _, Some obs ->
+          List.iter
+            (fun k ->
+              Alcotest.(check bool)
+                (r.Observe.id ^ " observes " ^ k)
+                true
+                (Json.member k obs <> None))
+            [ "timelines"; "profile"; "smp" ]
+      | o, _ -> Alcotest.fail (r.Observe.id ^ ": " ^ Runner.describe o))
+    serial;
+  Alcotest.(check bool) "jobs=2 payloads equal jobs=1" true
+    (payloads serial = payloads par);
+  let checks, divergences = totals serial in
+  Alcotest.(check bool) "translations were cross-checked" true (checks > 0);
+  Alcotest.(check (pair int int)) "jobs=2 shadow totals equal jobs=1"
+    (checks, divergences) (totals par);
+  Alcotest.(check bool) "instruments disarmed afterwards" true
+    (Kernel_sim.Kernel.boot_cpus () = 1
+    && not (Ppc.Shadow.boot_enabled ()))
 
 let test_runner_failure_isolation () =
   let boom : string * (?seed:int -> unit -> Experiments.table) =
@@ -502,8 +534,8 @@ let suite =
       test_runner_serial_equals_parallel;
     Alcotest.test_case "runner failure isolation" `Quick
       test_runner_failure_isolation;
-    Alcotest.test_case "runner serial forcers named" `Quick
-      test_serial_forcers;
+    Alcotest.test_case "observed run jobs-invariant" `Quick
+      test_observed_run_jobs_invariant;
     Alcotest.test_case "runner real experiment (E13)" `Slow
       test_runner_real_experiment;
     Alcotest.test_case "runner worker death retried" `Quick
