@@ -5,22 +5,26 @@
 
 module Kernel = Kernel_sim.Kernel
 
+module Server = Workloads.Server
+
 type spec = {
-  trace : int option;
-  profile : int option;
+  trace : bool;
+  profile : bool;
   spans : bool;
   shadow : bool;
   cpus : int;
   record : (int * Flight.rule list) option;
+  requests : int option;
 }
 
 let nothing =
-  { trace = None;
-    profile = None;
+  { trace = false;
+    profile = false;
     spans = false;
     shadow = false;
     cpus = 1;
-    record = None }
+    record = None;
+    requests = None }
 
 type shadow_verdict = { checks : int; divergences : int; reports : string list }
 
@@ -75,12 +79,9 @@ let collect spec ~flight_take _id =
   let checkers = Ppc.Shadow.drain_registered () in
   let kernels = Kernel.drain_smp_registered () in
   let obs =
-    (match spec.trace with
-    | None -> []
-    | Some _ -> Trace.observability_fields traces)
-    @ (match spec.profile with
-      | None -> []
-      | Some _ -> [ ("profile", Profile_export.to_json profiles) ])
+    (if spec.trace then Trace.observability_fields traces else [])
+    @ (if spec.profile then [ ("profile", Profile_export.to_json profiles) ]
+       else [])
     @ (if spans = [] then [] else [ ("spans", Span_export.to_json spans) ])
     @ if kernels = [] then [] else [ ("smp", smp_json kernels) ]
   in
@@ -132,20 +133,15 @@ let drop_registered () =
 
 let arm spec =
   drop_registered ();
-  Option.iter
-    (fun every ->
-      Ppc.Trace.set_boot_defaults ~sample_every:every ~enabled:true ())
-    spec.trace;
-  Option.iter
-    (fun every ->
-      Ppc.Profile.set_boot_defaults ~sample_every:every ~enabled:true ())
-    spec.profile;
+  if spec.trace then Ppc.Trace.set_boot_defaults ~enabled:true ();
+  if spec.profile then Ppc.Profile.set_boot_defaults ~enabled:true ();
   if spec.spans then Ppc.Span.set_boot_defaults ~enabled:true ();
   if spec.shadow then Ppc.Shadow.set_boot_defaults ~enabled:true ();
   Kernel.set_boot_cpus spec.cpus;
-  Kernel.set_smp_register true
+  Kernel.set_smp_register true;
+  Option.iter Server.set_boot_requests spec.requests
 
-let disarm ~cpus =
+let disarm ~cpus ~requests =
   Ppc.Trace.set_boot_defaults ~enabled:false ();
   Ppc.Profile.set_boot_defaults ~enabled:false ();
   Ppc.Span.set_boot_defaults ~enabled:false ();
@@ -153,6 +149,7 @@ let disarm ~cpus =
   Flight.disarm ();
   Kernel.set_boot_cpus cpus;
   Kernel.set_smp_register false;
+  Server.set_boot_requests requests;
   drop_registered ()
 
 let run ?jobs ?seed ?timeout ?retries spec selected =
@@ -177,9 +174,10 @@ let run ?jobs ?seed ?timeout ?retries spec selected =
   in
   let saved_hook = !Runner.collect_hook in
   let saved_cpus = Kernel.boot_cpus () in
+  let saved_requests = Server.boot_requests () in
   Fun.protect
     ~finally:(fun () ->
-      disarm ~cpus:saved_cpus;
+      disarm ~cpus:saved_cpus ~requests:saved_requests;
       Runner.collect_hook := saved_hook)
   @@ fun () ->
   arm spec;

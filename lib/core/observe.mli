@@ -3,8 +3,8 @@
 
     The experiment registry boots its own kernels, out of the caller's
     reach, so observation works through process-wide boot defaults
-    (Trace, Profile, Span, Shadow, Recorder, [Kernel.set_boot_cpus] and
-    [Kernel.set_smp_register]).  {!run} arms them before any worker
+    (Trace, Profile, Span, Shadow, Recorder, [Kernel.set_boot_cpus],
+    [Kernel.set_smp_register] and [Server.set_boot_requests]).  {!run} arms them before any worker
     forks, installs a {!Runner.collect_hook} that drains every registry
     in whatever process hosted each experiment and ships one JSON
     payload back over the result pipe, and disarms them when the run
@@ -13,24 +13,23 @@
     is byte-identical to a serial run. *)
 
 type spec = {
-  trace : int option;
-      (** arm event tracing; [Some n] with [n > 0] also snapshots a
-          Perf timeline every [n] simulated cycles, [Some 0] records
-          the rings only *)
-  profile : int option;
-      (** arm attribution profiling, sampling occupancy every [n]
-          cycles *)
+  trace : bool;  (** arm event rings and latency histograms *)
+  profile : bool;  (** arm attribution profiling *)
   spans : bool;  (** arm per-request span recorders *)
   shadow : bool;
       (** cross-check every translation against the reference MMU *)
   cpus : int;  (** boot CPU count for every kernel (1 = uniprocessor) *)
   record : (int * Flight.rule list) option;
       (** stream flight-recorder timelines, sampling every [n] cycles,
-          under these detector rules *)
+          under these detector rules — the one source of Perf and htab
+          occupancy series *)
+  requests : int option;
+      (** request count for the server-model experiments; [None] keeps
+          the current default *)
 }
 
 val nothing : spec
-(** Every instrument off, one CPU. *)
+(** Every instrument off, one CPU, default request count. *)
 
 type shadow_verdict = {
   checks : int;  (** translations cross-checked *)
@@ -62,7 +61,8 @@ val run :
   (string * (?seed:int -> unit -> Experiments.table)) list ->
   result list
 (** Arm [spec], {!Runner.run_collect} the experiments, disarm (also on
-    an exception) and restore the previous {!Runner.collect_hook}.
+    an exception) and restore the previous {!Runner.collect_hook}, boot
+    CPU count and server request count.
     Results come back in input order.  An experiment whose host died
     before delivering carries no observability, no flight lines, and a
     zero shadow verdict. *)

@@ -4,7 +4,9 @@
    live here.  A run can boot several kernels (E1 compares policies);
    miss accounts and hot pages merge across them, while the TLB census
    and htab occupancy map stay per-kernel (they describe one machine's
-   structures), listed in boot order. *)
+   structures), listed in boot order.  Occupancy over time is not the
+   profiler's: it is the flight recorder's "htab" gauge series, which
+   callers pass in. *)
 
 open Ppc
 
@@ -85,9 +87,27 @@ let hex n = Printf.sprintf "0x%08x" n
 let pct ~part ~whole =
   if whole <= 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
 
-let htab_json pr =
-  (* periodic samples plus a final end-of-run snapshot; [None] when the
-     machine has no htab *)
+(* The occupancy series in a recorder stream: one snapshot per sample
+   that carries the "htab" gauge ([| valid; capacity; zombie |]). *)
+let htab_series samples =
+  List.filter_map
+    (fun (s : Recorder.sample) ->
+      match List.assoc_opt "htab" s.Recorder.s_gauges with
+      | Some [| valid; capacity; zombie |] ->
+          Some
+            { Profile.h_cycle = s.Recorder.s_cycle;
+              h_valid = valid;
+              h_capacity = capacity;
+              h_zombie = zombie;
+              h_chains =
+                Option.value ~default:[||]
+                  (List.assoc_opt "htab_chains" s.Recorder.s_gauges) }
+      | _ -> None)
+    samples
+
+let htab_json series pr =
+  (* the end-of-run snapshot, plus the occupancy series when one was
+     recorded; [None] when the machine has no htab *)
   match Profile.snapshot_htab pr with
   | None -> None
   | Some final ->
@@ -97,35 +117,39 @@ let htab_json pr =
             Json.Int s.Profile.h_valid;
             Json.Int s.Profile.h_zombie ]
       in
-      let samples = Profile.samples pr in
-      let peak =
-        List.fold_left
-          (fun m (s : Profile.htab_sample) -> max m s.Profile.h_valid)
-          final.Profile.h_valid samples
-      in
+      let with_series f = match series with None -> [] | Some ss -> f ss in
       Some
         (Json.Obj
-           [ ("capacity", Json.Int final.Profile.h_capacity);
-             ("final_valid", Json.Int final.Profile.h_valid);
-             ("final_occupancy_pct",
-              Json.Float
-                (pct ~part:final.Profile.h_valid
-                   ~whole:final.Profile.h_capacity));
-             ("peak_occupancy_pct",
-              Json.Float (pct ~part:peak ~whole:final.Profile.h_capacity));
-             ("final_zombie_pct",
-              Json.Float
-                (pct ~part:final.Profile.h_zombie
-                   ~whole:(max 1 final.Profile.h_valid)));
-             ("chain_histogram",
-              Json.List
-                (Array.to_list
-                   (Array.map (fun n -> Json.Int n) final.Profile.h_chains)));
-             ("sample_fields",
-              Json.List
-                [ Json.String "cycle"; Json.String "valid";
-                  Json.String "zombie" ]);
-             ("samples", Json.List (List.map sample_row samples)) ])
+           ([ ("capacity", Json.Int final.Profile.h_capacity);
+              ("final_valid", Json.Int final.Profile.h_valid);
+              ("final_occupancy_pct",
+               Json.Float
+                 (pct ~part:final.Profile.h_valid
+                    ~whole:final.Profile.h_capacity)) ]
+           @ with_series (fun ss ->
+                 let peak =
+                   List.fold_left
+                     (fun m (s : Profile.htab_sample) -> max m s.Profile.h_valid)
+                     final.Profile.h_valid ss
+                 in
+                 [ ("peak_occupancy_pct",
+                    Json.Float (pct ~part:peak ~whole:final.Profile.h_capacity))
+                 ])
+           @ [ ("final_zombie_pct",
+                Json.Float
+                  (pct ~part:final.Profile.h_zombie
+                     ~whole:(max 1 final.Profile.h_valid)));
+               ("chain_histogram",
+                Json.List
+                  (Array.to_list
+                     (Array.map (fun n -> Json.Int n) final.Profile.h_chains)))
+             ]
+           @ with_series (fun ss ->
+                 [ ("sample_fields",
+                    Json.List
+                      [ Json.String "cycle"; Json.String "valid";
+                        Json.String "zombie" ]);
+                   ("samples", Json.List (List.map sample_row ss)) ])))
 
 let census_json pr =
   let c = Profile.census pr in
@@ -140,7 +164,8 @@ let census_json pr =
            ("occupied_now", Json.Int c.Profile.occupied_now);
            ("slot_capacity", Json.Int c.Profile.slot_capacity) ])
 
-let to_json ?(top = 20) profiles =
+let to_json ?(top = 20) ?samples profiles =
+  let series = Option.map htab_series samples in
   let attribution =
     Json.List
       (List.map
@@ -171,7 +196,7 @@ let to_json ?(top = 20) profiles =
            ("dtlb", hot Profile.Dtlb);
            ("htab", hot Profile.Htab_miss) ]);
       ("tlb_census", Json.List (List.filter_map census_json profiles));
-      ("htab", Json.List (List.filter_map htab_json profiles)) ]
+      ("htab", Json.List (List.filter_map (htab_json series) profiles)) ]
 
 (* --- text heatmap ----------------------------------------------------- *)
 
@@ -185,7 +210,8 @@ let shade ~cost ~hottest =
     ramp.(min (Array.length ramp - 1) i)
   end
 
-let summary ?(top = 10) profiles =
+let summary ?(top = 10) ?samples profiles =
+  let series = Option.fold ~none:[] ~some:htab_series samples in
   let buf = Buffer.create 2048 in
   let rows = merged_attribution profiles in
   let total_cost =
@@ -267,7 +293,7 @@ let summary ?(top = 10) profiles =
             pct ~part:s.Profile.h_valid ~whole:s.Profile.h_capacity
           in
           let traj =
-            match Profile.samples pr with
+            match series with
             | [] -> Printf.sprintf "%.0f%%" (occ final)
             | samples ->
                 (* at most a dozen points, evenly thinned *)

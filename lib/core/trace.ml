@@ -1,6 +1,7 @@
-(* Exporters for Ppc.Trace: Chrome trace-event JSON, timeline/histogram
-   JSON, and a text summary.  Pure functions of a finished trace — no
-   emission paths live here. *)
+(* Exporters for Ppc.Trace: Chrome trace-event JSON, histogram JSON, and
+   a text summary.  Pure functions of a finished trace (plus, for counter
+   tracks, the flight recorder's samples) — no emission paths live
+   here. *)
 
 open Ppc
 
@@ -47,7 +48,7 @@ let args_of (e : Trace.event) =
   | Trace.Vma_map | Trace.Vma_unmap ->
       [ ("start", Json.String (hex e.e_a)); ("pages", Json.Int e.e_b) ]
 
-(* Counter timelines exported to Chrome counter tracks: per-interval
+(* Recorder samples exported to Chrome counter tracks: per-interval
    deltas of the counters whose rates are worth eyeballing. *)
 let counter_tracks =
   [ ("tlb_misses", [ "itlb_misses"; "dtlb_misses" ]);
@@ -56,7 +57,7 @@ let counter_tracks =
     ("page_faults", [ "page_faults" ]);
     ("idle_cycles", [ "idle_cycles" ]) ]
 
-let to_chrome ?(mhz = 100) ?(name = "mmu_sim") tr =
+let to_chrome ?(mhz = 100) ?(name = "mmu_sim") ?(samples = []) tr =
   let mhzf = float_of_int mhz in
   let ts cycle = Json.Float (float_of_int cycle /. mhzf) in
   let meta =
@@ -110,16 +111,16 @@ let to_chrome ?(mhz = 100) ?(name = "mmu_sim") tr =
                 ("args", Json.Obj (args_of e)) ])
       in
       events := ev :: !events);
-  (* Counter tracks from the timeline samples: each sample contributes
+  (* Counter tracks from the recorder samples: each sample contributes
      the delta since the previous sample, so the track reads as a rate. *)
   let counters = ref [] in
-  (match Trace.samples tr with
+  (match samples with
   | [] -> ()
-  | first :: _ as samples ->
-      let prev = ref (snd first) in
-      let prev_cycle = ref (fst first) in
+  | first :: _ ->
+      let prev = ref first.Recorder.s_perf in
+      let prev_cycle = ref first.Recorder.s_cycle in
       List.iteri
-        (fun i (cycle, snap) ->
+        (fun i { Recorder.s_cycle = cycle; s_perf = snap; _ } ->
           if i > 0 then begin
             let d = Perf.diff ~after:snap ~before:!prev in
             let fields = Perf.fields d in
@@ -172,25 +173,6 @@ let hists_to_json tr =
       ("tlb_service_cycles", hist_to_json (Trace.hist_tlb_service tr));
       ("context_switch_cycles", hist_to_json (Trace.hist_ctxsw tr)) ]
 
-let timeline_to_json tr =
-  match Trace.samples tr with
-  | [] -> Json.Null
-  | samples ->
-      let field_names = List.map fst (Perf.fields (snd (List.hd samples))) in
-      Json.Obj
-        [ ("fields",
-           Json.List
-             (Json.String "cycle"
-             :: List.map (fun n -> Json.String n) field_names));
-          ("samples",
-           Json.List
-             (List.map
-                (fun (cycle, snap) ->
-                  Json.List
-                    (Json.Int cycle
-                    :: List.map (fun (_, v) -> Json.Int v) (Perf.fields snap)))
-                samples)) ]
-
 let kind_counts_json tr =
   Json.Obj
     (List.filter_map
@@ -200,8 +182,7 @@ let kind_counts_json tr =
        Trace.all_kinds)
 
 (* The per-run observability fields embedded in experiment results:
-   merged histograms and event counts over every kernel the run booted,
-   plus one timeline per kernel that sampled. *)
+   merged histograms and event counts over every kernel the run booted. *)
 let observability_fields traces =
   let probe = Hist.create () in
   let tlb = Hist.create () in
@@ -224,19 +205,12 @@ let observability_fields traces =
             (fun i k -> (Trace.kind_name k, Json.Int counts.(i)))
             Trace.all_kinds))
   in
-  let timelines =
-    List.filter_map
-      (fun tr ->
-        match timeline_to_json tr with Json.Null -> None | j -> Some j)
-      traces
-  in
   [ ("events", events);
     ("histograms",
      Json.Obj
        [ ("htab_probe_len", hist_to_json probe);
          ("tlb_service_cycles", hist_to_json tlb);
-         ("context_switch_cycles", hist_to_json ctxsw) ]);
-    ("timelines", Json.List timelines) ]
+         ("context_switch_cycles", hist_to_json ctxsw) ]) ]
 
 (* --- text summary ----------------------------------------------------- *)
 
@@ -268,7 +242,7 @@ let summary_hist buf name h =
       buckets
   end
 
-let summary tr =
+let summary ?(samples = []) tr =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf
     (Printf.sprintf "trace: %d events recorded (%d retained, %d dropped)\n"
@@ -291,9 +265,7 @@ let summary tr =
   summary_hist buf "htab probe length (PTE slots)" (Trace.hist_probe tr);
   summary_hist buf "tlb-miss service" (Trace.hist_tlb_service tr);
   summary_hist buf "context switch" (Trace.hist_ctxsw tr);
-  (match Trace.samples tr with
-  | [] -> ()
-  | samples ->
-      Buffer.add_string buf
-        (Printf.sprintf "timeline: %d samples\n" (List.length samples)));
+  if samples <> [] then
+    Buffer.add_string buf
+      (Printf.sprintf "timeline: %d samples\n" (List.length samples));
   Buffer.contents buf

@@ -13,7 +13,7 @@ type t = {
 let create ~machine ~perf =
   let span = Span.create ~perf in
   let recorder = Recorder.create ~perf in
-  let profile = Profile.create ~perf in
+  let profile = Profile.create () in
   (* Span percentiles-so-far as a recorder gauge: completed requests and
      the running p50/p99 latency.  All zeros outside server workloads. *)
   Recorder.add_source recorder ~name:"span" (fun () ->
@@ -87,15 +87,9 @@ let in_idle t = t.idle
 let charge t cycles =
   t.perf.Perf.cycles <- t.perf.Perf.cycles + cycles;
   if t.idle then t.perf.Perf.idle_cycles <- t.perf.Perf.idle_cycles + cycles;
-  (* timeline sampler: [next_sample] is [max_int] unless armed, so the
-     untraced cost is this one compare *)
-  if t.perf.Perf.cycles >= t.trace.Trace.next_sample then
-    Trace.take_sample t.trace;
-  (* htab occupancy sampler, same Perf-timeline cadence discipline: one
-     integer compare while profiling is off *)
-  if t.perf.Perf.cycles >= t.profile.Profile.next_sample then
-    Profile.take_sample t.profile;
-  (* flight recorder, same discipline again *)
+  (* the one cycle-cadence sampler: [next_sample] is [max_int] unless
+     the flight recorder is armed, so the unrecorded cost is this one
+     compare *)
   if t.perf.Perf.cycles >= t.recorder.Recorder.next_sample then
     Recorder.take_sample t.recorder
 
@@ -164,14 +158,10 @@ let instructions t n =
 
 let stall t n = charge t n
 
-(* Either timeline sampler armed?  While true, fused charges must fall
-   back to the historical charge-by-charge sequence so samples keep
-   firing at the same cycle counts with the same intermediate counter
-   values (experiment tables average over sample contents). *)
-let sampling t =
-  t.trace.Trace.next_sample <> max_int
-  || t.profile.Profile.next_sample <> max_int
-  || t.recorder.Recorder.next_sample <> max_int
+(* Recorder armed?  While true, fused charges must fall back to the
+   historical charge-by-charge sequence so samples keep firing at the
+   same cycle counts with the same intermediate counter values. *)
+let sampling t = t.recorder.Recorder.next_sample <> max_int
 
 (* One fused trap charge: counters end up identical to
    [stall t stall; instructions t instr], with a single sampler check

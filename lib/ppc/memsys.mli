@@ -19,14 +19,15 @@ val machine : t -> Machine.t
 val perf : t -> Perf.t
 
 val trace : t -> Trace.t
-(** The machine's trace handle (disabled until [Trace.enable]).  Cycle
-    charges check its sampling deadline, so timeline samples land here
-    no matter which subsystem advanced the clock. *)
+(** The machine's trace handle (disabled until [Trace.enable]).
+    Event-driven: the charge path never checks it.  Perf timelines come
+    from the {!recorder}'s samples. *)
 
 val profile : t -> Profile.t
 (** The machine's attribution profiler (disabled until
-    [Profile.enable]).  Cycle charges check its htab-occupancy sampling
-    deadline on the same cadence discipline as the trace timeline. *)
+    [Profile.enable]).  Charged by the MMU's miss paths, never by the
+    charge path; htab occupancy series come from the {!recorder}'s
+    ["htab"] gauge. *)
 
 val span : t -> Span.t
 (** The machine's request-span recorder (disabled until [Span.enable]).
@@ -34,9 +35,10 @@ val span : t -> Span.t
     so the disabled cost is the flag check at each instrumented site. *)
 
 val recorder : t -> Recorder.t
-(** The machine's flight recorder (disabled until [Recorder.enable]).
-    Cycle charges check its sampling deadline on the same cadence
-    discipline as the trace timeline; the "span" gauge (completed
+(** The machine's flight recorder (disabled until [Recorder.enable]),
+    the one cycle-cadence sampler: every cycle charge compares the clock
+    against its sampling deadline, so samples land here no matter which
+    subsystem advanced the clock.  The "span" gauge (completed
     requests, running p50/p99 latency) is pre-installed here, the
     machine-shape gauges (htab, TLB, run queues) by their owners. *)
 
@@ -81,10 +83,10 @@ val stall : t -> int -> unit
     costs). *)
 
 val sampling : t -> bool
-(** Whether any timeline sampler (trace, profile or recorder) is armed.  While
-    true the fused charges below take the historical charge-by-charge
-    sequence, so sample timing and contents are byte-identical to the
-    unfused calls; counters are identical either way. *)
+(** Whether the {!recorder} is armed.  While true the fused charges
+    below take the historical charge-by-charge sequence, so sample
+    timing and contents are byte-identical to the unfused calls;
+    counters are identical either way. *)
 
 val instructions_stall : t -> instr:int -> stall:int -> unit
 (** [instructions_stall t ~instr ~stall] is

@@ -402,11 +402,11 @@ let reload_handler t =
    row; the per-style branching lives in [Reload_engine.cost_table], not
    here.  Returns the translation plus which structure produced it.
 
-   With the fast handlers selected and no timeline sampler armed, the
-   back-to-back charges of each trap (entry stall + handler path length
-   + hash setup; miss trap + fill handler) are batched into one
-   [Memsys.instructions_stall] each — counter-identical, fewer sampler
-   checks.  The slow-handler generation keeps the charge-by-charge
+   With the fast handlers selected and the flight recorder (the one
+   cycle-cadence sampler) unarmed, the back-to-back charges of each trap
+   (entry stall + handler path length + hash setup; miss trap + fill
+   handler) are batched into one [Memsys.instructions_stall] each —
+   counter-identical, fewer sampler checks.  The slow-handler generation keeps the charge-by-charge
    sequence: its state save interleaves data references. *)
 let reload t ~vsid ~ea ~store =
   let page_index = Addr.page_index ea in

@@ -3,13 +3,14 @@
    Where Trace records a stream of events, this layer maintains running
    *attributions*: per-(PID, segment, kind) miss and reload-cost
    accounts, per-kind hot-page tables, a kernel-vs-user TLB slot census
-   with high-water marks, and periodic htab bucket-occupancy samples.
+   with high-water marks, and an on-demand htab occupancy snapshot
+   (periodic occupancy series come from the flight recorder's "htab"
+   gauge).
 
    Everything here is observation only: charging never costs cycles,
    touches the caches, or draws from an RNG, so a profiled run and an
    unprofiled run of the same seed produce byte-identical Perf counts.
-   The disabled path is one flag check per instrumented site (plus one
-   integer compare on the charge path for the occupancy sampler) and
+   The disabled path is one flag check per instrumented site and
    allocates nothing. *)
 
 type miss_kind =
@@ -62,7 +63,6 @@ type census = {
 }
 
 type t = {
-  perf : Perf.t;  (* cycle source for sample stamps; never written *)
   mutable enabled : bool;
   attribution : (int, cell) Hashtbl.t;
   hot_pages : (int, cell) Hashtbl.t array;  (* per kind: page EA -> cell *)
@@ -73,18 +73,13 @@ type t = {
   mutable census_kernel_now : int;
   mutable census_occupied_now : int;
   mutable tlb_capacity : int;
-  (* htab bucket-occupancy sampler (Perf timeline cadence) *)
-  mutable sample_every : int;
-  mutable next_sample : int;  (* max_int while sampling is off *)
-  mutable samples_rev : htab_sample list;
   mutable htab_source : (unit -> htab_sample) option;
 }
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let create_plain ~perf =
-  { perf;
-    enabled = false;
+let create_plain () =
+  { enabled = false;
     attribution = Hashtbl.create 64;
     hot_pages = Array.init n_kinds (fun _ -> Hashtbl.create 64);
     census_samples = 0;
@@ -93,28 +88,10 @@ let create_plain ~perf =
     census_kernel_now = 0;
     census_occupied_now = 0;
     tlb_capacity = 0;
-    sample_every = 0;
-    next_sample = max_int;
-    samples_rev = [];
     htab_source = None }
 
-let set_sampling t ~every =
-  if every > 0 then begin
-    t.sample_every <- every;
-    t.next_sample <- t.perf.Perf.cycles + every
-  end
-  else begin
-    t.sample_every <- 0;
-    t.next_sample <- max_int
-  end
-
-let enable ?(sample_every = 0) t =
-  t.enabled <- true;
-  if sample_every > 0 then set_sampling t ~every:sample_every
-
-let disable t =
-  t.enabled <- false;
-  set_sampling t ~every:0
+let enable t = t.enabled <- true
+let disable t = t.enabled <- false
 
 let enabled t = t.enabled
 
@@ -124,24 +101,22 @@ let enabled t = t.enabled
    registry boots its own) arm these; every profiler created afterwards
    starts enabled and registers itself for later collection — the same
    discipline as Trace and Shadow. *)
-let boot_defaults : int option ref = ref None
+let boot_enabled = ref false
 let registered_rev : t list ref = ref []
 
-let set_boot_defaults ?(sample_every = 0) ~enabled () =
-  boot_defaults := (if enabled then Some sample_every else None)
+let set_boot_defaults ~enabled () = boot_enabled := enabled
 
 let drain_registered () =
   let l = List.rev !registered_rev in
   registered_rev := [];
   l
 
-let create ~perf =
-  let t = create_plain ~perf in
-  (match !boot_defaults with
-  | None -> ()
-  | Some sample_every ->
-      enable ~sample_every t;
-      registered_rev := t :: !registered_rev);
+let create () =
+  let t = create_plain () in
+  if !boot_enabled then begin
+    enable t;
+    registered_rev := t :: !registered_rev
+  end;
   t
 
 (* --- hooks wired by the MMU ------------------------------------------- *)
@@ -175,14 +150,6 @@ let note_tlb_census t ~kernel ~occupied =
     t.census_kernel_now <- kernel;
     t.census_occupied_now <- occupied
   end
-
-(* --- htab occupancy sampler ------------------------------------------- *)
-
-let take_sample t =
-  (match t.htab_source with
-  | None -> ()
-  | Some f -> t.samples_rev <- f () :: t.samples_rev);
-  t.next_sample <- t.perf.Perf.cycles + t.sample_every
 
 (* --- inspection ------------------------------------------------------- *)
 
@@ -242,11 +209,8 @@ let census t =
     occupied_now = t.census_occupied_now;
     slot_capacity = t.tlb_capacity }
 
-let samples t = List.rev t.samples_rev
-
-(* A pure read of the current htab state (no sample recorded): exporters
-   use this for the end-of-run snapshot even when periodic sampling was
-   never armed. *)
+(* A pure read of the current htab state: exporters use this for the
+   end-of-run snapshot. *)
 let snapshot_htab t = Option.map (fun f -> f ()) t.htab_source
 
 let total_misses t =

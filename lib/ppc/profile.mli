@@ -11,17 +11,16 @@
       the MMU reports how many TLB slots hold kernel translations — the
       §5.1 footprint claim (33% of slots without BATs, high water ≤ 4
       with them) as a measured artifact;
-    - an {e htab bucket-occupancy map}, sampled on the same cadence as
-      the {!Perf} timeline: occupancy, PTEG collision-chain length
-      histogram and zombie fraction over time — the §5.2 37%/57%/75%
-      trajectory.
+    - an {e htab occupancy snapshot}, read on demand: occupancy, PTEG
+      collision-chain length histogram and zombie fraction.  The §5.2
+      37%/57%/75% trajectory over time is the flight {!Recorder}'s
+      ["htab"] gauge series, not sampled here.
 
     Profiling is observation only: charging never costs cycles, touches
     the caches or draws from an RNG, so a profiled run produces exactly
     the Perf counts of an unprofiled run at the same seed.  When
     disabled (the default) the cost is one flag check per instrumented
-    site — plus one integer compare on {!Memsys}'s charge path for the
-    occupancy sampler — and zero allocation.
+    site and zero allocation.
 
     The exporters (folded stacks, JSON, text heatmaps) live in
     [Mmu_tricks.Profile_export], which depends on this module, not the
@@ -38,7 +37,7 @@ type miss_kind =
 val all_kinds : miss_kind list
 val kind_name : miss_kind -> string
 
-(** One htab occupancy sample. *)
+(** One htab occupancy snapshot. *)
 type htab_sample = {
   h_cycle : int;     (** simulated cycle when taken *)
   h_valid : int;     (** valid PTEs *)
@@ -58,51 +57,20 @@ type census = {
   slot_capacity : int;      (** total TLB slots (I + D) *)
 }
 
-(** One account: misses charged and reload cycles attributed to them. *)
-type cell = {
-  mutable a_count : int;
-  mutable a_cost : int;
-}
+type t
 
-type t = {
-  perf : Perf.t;
-  mutable enabled : bool;
-  attribution : (int, cell) Hashtbl.t;
-  hot_pages : (int, cell) Hashtbl.t array;
-  mutable census_samples : int;
-  mutable census_share_sum : float;
-  mutable census_kernel_hw : int;
-  mutable census_kernel_now : int;
-  mutable census_occupied_now : int;
-  mutable tlb_capacity : int;
-  mutable sample_every : int;
-  mutable next_sample : int;
-      (** [max_int] while sampling is off — {!Memsys} compares the cycle
-          counter against this on every charge, so the disabled sampler
-          costs one integer compare *)
-  mutable samples_rev : htab_sample list;
-  mutable htab_source : (unit -> htab_sample) option;
-}
-(** Exposed so the one comparison on {!Memsys.t}'s charge path reads
-    [next_sample] directly; treat as read-only outside this module,
-    {!Memsys} and {!Mmu}. *)
+val create : unit -> t
+(** A disabled profiler — unless {!set_boot_defaults} armed
+    process-wide profiling, in which case it starts enabled and is
+    registered for {!drain_registered}. *)
 
-val create : perf:Perf.t -> t
-(** A disabled profiler stamping samples from [perf]'s cycle counter —
-    unless {!set_boot_defaults} armed process-wide profiling, in which
-    case it starts enabled and is registered for {!drain_registered}. *)
-
-val enable : ?sample_every:int -> t -> unit
-(** Start attributing; [sample_every > 0] also arms the htab occupancy
-    sampler at that cadence (simulated cycles). *)
+val enable : t -> unit
+(** Start attributing. *)
 
 val disable : t -> unit
-(** Stop attributing and sampling; accumulated data stays readable. *)
+(** Stop attributing; accumulated data stays readable. *)
 
 val enabled : t -> bool
-
-val set_sampling : t -> every:int -> unit
-(** Re-arm or disarm ([every <= 0]) the htab occupancy sampler. *)
 
 (** {1 Boot defaults}
 
@@ -111,13 +79,13 @@ val set_sampling : t -> every:int -> unit
     run, then collect every profiler created in between — the same
     discipline as {!Trace} and {!Shadow}. *)
 
-val set_boot_defaults : ?sample_every:int -> enabled:bool -> unit -> unit
+val set_boot_defaults : enabled:bool -> unit -> unit
 val drain_registered : unit -> t list
 
 (** {1 Hooks wired by the MMU} *)
 
 val set_htab_source : t -> (unit -> htab_sample) -> unit
-(** Install the htab snapshot function the occupancy sampler calls. *)
+(** Install the htab snapshot function {!snapshot_htab} calls. *)
 
 val set_tlb_capacity : t -> int -> unit
 (** Record the machine's total TLB slots (I + D) for census reporting. *)
@@ -133,10 +101,6 @@ val charge_miss :
 val note_tlb_census : t -> kernel:int -> occupied:int -> unit
 (** Record one census: [kernel] of [occupied] valid TLB slots currently
     hold kernel translations. *)
-
-val take_sample : t -> unit
-(** Record one htab occupancy sample now (called by {!Memsys} when the
-    cycle counter passes [next_sample]). *)
 
 (** {1 Inspection} *)
 
@@ -156,14 +120,10 @@ val hot_pages : t -> miss_kind -> top:int -> (int * int * int) list
     most attributed cost first. *)
 
 val census : t -> census
-val samples : t -> htab_sample list
-(** Htab occupancy samples, chronological. *)
 
 val snapshot_htab : t -> htab_sample option
-(** The htab's state right now, as a pure read (nothing is recorded and
-    the sampling deadline is untouched); [None] when the machine has no
-    htab.  Exporters use this for the end-of-run snapshot even when
-    periodic sampling was never armed. *)
+(** The htab's state right now, as a pure read; [None] when the machine
+    has no htab.  Exporters use this for the end-of-run snapshot. *)
 
 val total_misses : t -> int
 val total_cost : t -> int

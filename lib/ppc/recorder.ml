@@ -8,7 +8,8 @@
    cadence, §5.2's "watch the table while it runs" loop as
    infrastructure.
 
-   Cost discipline is the Trace/Profile one exactly: [next_sample] is
+   It is the simulator's one cycle-cadence sampler: Perf timelines and
+   htab occupancy series are read off its samples.  [next_sample] is
    [max_int] unless armed, so the disabled cost in [Memsys.charge] is a
    single integer compare.  Recording is observation only — no cycles
    charged, no RNG draws, no cache traffic — so an armed run's counters
@@ -16,11 +17,12 @@
 
    Memory is bounded: retained samples live in a flat array capped at
    [cap]; on overflow the recorder *decimates* — keeps every other
-   sample and doubles the cadence — so an arbitrarily long run holds at
-   most [cap] samples at a deterministic, self-coarsening resolution
-   (the classic flight-recorder trick).  Consumers that want the full
-   stream at the original cadence hook [set_on_sample] and write each
-   sample out as it fires. *)
+   retained sample and from then on retains only every [stride]-th
+   sample taken — so an arbitrarily long run holds at most [cap]
+   samples at a deterministic, self-coarsening resolution (the classic
+   flight-recorder trick).  Sampling itself never coarsens: consumers
+   that want the full stream at the original cadence hook
+   [set_on_sample] and write each sample out as it fires. *)
 
 type sample = {
   s_cycle : int;
@@ -31,7 +33,9 @@ type sample = {
 type t = {
   perf : Perf.t;  (* cycle source; never written *)
   mutable next_sample : int;  (* max_int = disabled *)
-  mutable every : int;  (* current cadence (doubles on decimation) *)
+  mutable every : int;  (* sampling cadence, fixed while armed *)
+  mutable stride : int;  (* retain every [stride]-th sample (doubles) *)
+  mutable skip : int;  (* samples to take before the next retained one *)
   mutable cap : int;  (* retained-sample bound *)
   mutable label : string;
   run_id : int;
@@ -54,6 +58,8 @@ let create_plain ~perf =
   { perf;
     next_sample = max_int;
     every = default_every;
+    stride = 1;
+    skip = 0;
     cap = default_cap;
     label = "";
     run_id = !run_counter;
@@ -69,6 +75,8 @@ let enable ?(every = default_every) ?(cap = default_cap) t =
   if every < 1 then invalid_arg "Recorder.enable: every must be >= 1";
   if cap < 2 then invalid_arg "Recorder.enable: cap must be >= 2";
   t.every <- every;
+  t.stride <- 1;
+  t.skip <- 0;
   t.cap <- cap;
   t.len <- 0;
   t.total <- 0;
@@ -82,7 +90,7 @@ let enabled t = t.next_sample <> max_int
 let set_label t label = t.label <- label
 let label t = t.label
 let run_id t = t.run_id
-let every t = t.every
+let every t = t.every * t.stride
 let cap t = t.cap
 
 let set_on_sample t f = t.on_sample <- Some f
@@ -106,8 +114,8 @@ let source_names t = List.map fst t.sources
 (* --- sampling ---------------------------------------------------------- *)
 
 (* Halve the retained stream: keep samples 0, 2, 4, ... and double the
-   cadence.  Deterministic, so two runs of the same seed decimate at
-   the same points. *)
+   retention stride.  Deterministic, so two runs of the same seed
+   decimate at the same points. *)
 let decimate t =
   let kept = (t.len + 1) / 2 in
   for i = 0 to kept - 1 do
@@ -117,19 +125,30 @@ let decimate t =
     t.samples.(i) <- dummy_sample
   done;
   t.len <- kept;
-  t.every <- t.every * 2
+  t.stride <- t.stride * 2
 
-let take_sample t =
-  let s =
-    { s_cycle = t.perf.Perf.cycles;
-      s_perf = Perf.snapshot t.perf;
-      s_gauges = List.map (fun (name, f) -> (name, f ())) t.sources }
-  in
+let retain t s =
   if t.len >= t.cap then decimate t;
   t.samples.(t.len) <- s;
   t.len <- t.len + 1;
+  t.skip <- t.stride - 1
+
+(* Sampling stays at the base cadence whatever the decimation level;
+   only retention thins.  A sample that is neither retained nor streamed
+   is not even built. *)
+let take_sample t =
   t.total <- t.total + 1;
-  (match t.on_sample with Some f -> f t s | None -> ());
+  let keep = t.skip = 0 in
+  if not keep then t.skip <- t.skip - 1;
+  if keep || Option.is_some t.on_sample then begin
+    let s =
+      { s_cycle = t.perf.Perf.cycles;
+        s_perf = Perf.snapshot t.perf;
+        s_gauges = List.map (fun (name, f) -> (name, f ())) t.sources }
+    in
+    if keep then retain t s;
+    match t.on_sample with Some f -> f t s | None -> ()
+  end;
   t.next_sample <- t.perf.Perf.cycles + t.every
 
 (* --- inspection -------------------------------------------------------- *)

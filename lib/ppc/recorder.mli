@@ -1,5 +1,7 @@
 (** The flight recorder: bounded-memory streaming telemetry (§5.2's
-    watch-it-while-it-runs loop as infrastructure).
+    watch-it-while-it-runs loop as infrastructure), and the simulator's
+    one cycle-cadence sampler — Perf timelines and htab occupancy
+    series are read off its samples.
 
     Snapshots the full observability state — a {!Perf.snapshot} plus a
     set of named integer gauge vectors installed by the subsystems that
@@ -12,10 +14,11 @@
     Observation-only when armed: no cycles charged, no RNG draws, so
     counters are byte-identical to an unrecorded run at the same seed.
     Memory-bounded: at most [cap] samples are retained; on overflow the
-    recorder deterministically decimates (keeps every other sample,
-    doubles the cadence), so arbitrarily long runs self-coarsen instead
-    of growing.  Streaming consumers that want every sample at the
-    original cadence hook {!set_on_sample}. *)
+    recorder deterministically decimates (keeps every other retained
+    sample, then retains only every 2{^k}-th sample taken), so
+    arbitrarily long runs self-coarsen instead of growing.  Sampling
+    itself stays at the base cadence: streaming consumers that want
+    every sample hook {!set_on_sample}. *)
 
 type sample = {
   s_cycle : int;  (** [Perf.cycles] when the sample fired *)
@@ -30,7 +33,9 @@ type t = {
   mutable next_sample : int;
       (** absolute cycle of the next sample; [max_int] = disabled.  Read
           directly by [Memsys.charge] — the one-int-compare contract. *)
-  mutable every : int;
+  mutable every : int;  (** sampling cadence *)
+  mutable stride : int;  (** retention stride, doubled per decimation *)
+  mutable skip : int;
   mutable cap : int;
   mutable label : string;
   run_id : int;
@@ -53,7 +58,8 @@ val create : perf:Perf.t -> t
 
 val enable : ?every:int -> ?cap:int -> t -> unit
 (** Start sampling every [every] simulated cycles, retaining at most
-    [cap] samples (decimating beyond).  Resets retained samples.
+    [cap] samples (decimating beyond).  Resets retained samples and the
+    retention stride.
     @raise Invalid_argument if [every < 1] or [cap < 2]. *)
 
 val disable : t -> unit
@@ -70,14 +76,17 @@ val run_id : t -> int
     timeline file. *)
 
 val every : t -> int
-(** Current cadence — doubles each time the retained stream decimates. *)
+(** Cadence of the retained samples: the sampling cadence times the
+    retention stride, so it doubles each time the retained stream
+    decimates.  The stream itself keeps the base cadence. *)
 
 val cap : t -> int
 
 val set_on_sample : t -> (t -> sample -> unit) -> unit
-(** Called after every sample is taken (before any decimation of later
-    samples), with the recorder and the fresh sample — the streaming
-    hook.  Must not charge cycles or touch simulator state. *)
+(** Called after every sample is taken, retained or not, with the
+    recorder and the fresh sample — the streaming hook, which sees the
+    base cadence however far retention has decimated.  Must not charge
+    cycles or touch simulator state. *)
 
 (** {1 Gauge sources} *)
 
@@ -92,8 +101,8 @@ val source_names : t -> string list
 (** {1 Sampling} *)
 
 val take_sample : t -> unit
-(** Snapshot now and schedule the next sample.  Called by
-    [Memsys.charge] when [Perf.cycles] crosses [next_sample]. *)
+(** Snapshot now and schedule the next sample one sampling period on.
+    Called by [Memsys.charge] when [Perf.cycles] crosses [next_sample]. *)
 
 (** {1 Inspection} *)
 
@@ -101,7 +110,7 @@ val length : t -> int
 (** Samples currently retained (<= [cap]). *)
 
 val total : t -> int
-(** Samples ever taken, including ones decimated away. *)
+(** Samples ever taken, including ones not retained. *)
 
 val sample : t -> int -> sample
 (** @raise Invalid_argument out of range. *)

@@ -1,11 +1,11 @@
-(* Typed event tracing: a preallocated ring buffer of simulator events,
-   a Perf-counter timeline sampler, and latency histograms.
+(* Typed event tracing: a preallocated ring buffer of simulator events
+   and latency histograms.  Perf timelines are the flight recorder's
+   job (Recorder), not this module's.
 
    Everything here is observation only: emitting never charges cycles,
    touches the caches, or draws from an RNG, so a traced run and an
    untraced run of the same seed produce byte-identical Perf counts.
-   The disabled path is one flag check (or one integer compare for the
-   sampler) and allocates nothing. *)
+   The disabled path is one flag check and allocates nothing. *)
 
 type kind =
   | Itlb_miss
@@ -84,7 +84,7 @@ type event = {
 }
 
 type t = {
-  perf : Perf.t;  (* cycle source for event stamps and the sampler *)
+  perf : Perf.t;  (* cycle source for event stamps *)
   mutable enabled : bool;
   (* ring storage, structure-of-arrays so an emit writes five ints *)
   mutable r_kind : int array;
@@ -95,10 +95,6 @@ type t = {
   mutable head : int;  (* total events ever emitted *)
   kind_counts : int array;  (* per-kind totals, immune to ring wrap *)
   mutable cur_pid : int;
-  (* timeline sampler *)
-  mutable sample_every : int;
-  mutable next_sample : int;  (* max_int while sampling is off *)
-  mutable samples_rev : (int * Perf.t) list;
   (* latency histograms *)
   hist_probe : Hist.t;
   hist_tlb_service : Hist.t;
@@ -118,9 +114,6 @@ let create_plain ~perf =
     head = 0;
     kind_counts = Array.make n_kinds 0;
     cur_pid = 0;
-    sample_every = 0;
-    next_sample = max_int;
-    samples_rev = [];
     hist_probe = Hist.create ();
     hist_tlb_service = Hist.create ();
     hist_ctxsw = Hist.create () }
@@ -130,18 +123,8 @@ let create_plain ~perf =
 (* Drivers that cannot reach the kernels being booted (the experiment
    registry boots its own) set these; every trace created afterwards
    starts enabled and registers itself for later collection. *)
-let boot_defaults : (int * int) option ref = ref None
+let boot_defaults : int option ref = ref None
 let registered_rev : t list ref = ref []
-
-let set_sampling t ~every =
-  if every > 0 then begin
-    t.sample_every <- every;
-    t.next_sample <- t.perf.Perf.cycles + every
-  end
-  else begin
-    t.sample_every <- 0;
-    t.next_sample <- max_int
-  end
 
 let enable ?(ring = default_ring) t =
   let ring = max 1 ring in
@@ -153,12 +136,10 @@ let enable ?(ring = default_ring) t =
   t.head <- 0;
   t.enabled <- true
 
-let disable t =
-  t.enabled <- false;
-  set_sampling t ~every:0
+let disable t = t.enabled <- false
 
-let set_boot_defaults ?(ring = default_ring) ?(sample_every = 0) ~enabled () =
-  boot_defaults := (if enabled then Some (ring, sample_every) else None)
+let set_boot_defaults ?(ring = default_ring) ~enabled () =
+  boot_defaults := (if enabled then Some ring else None)
 
 let drain_registered () =
   let l = List.rev !registered_rev in
@@ -169,9 +150,8 @@ let create ~perf =
   let t = create_plain ~perf in
   (match !boot_defaults with
   | None -> ()
-  | Some (ring, every) ->
+  | Some ring ->
       enable ~ring t;
-      if every > 0 then set_sampling t ~every;
       registered_rev := t :: !registered_rev);
   t
 
@@ -248,14 +228,6 @@ let events t =
   let out = ref [] in
   iter t (fun e -> out := e :: !out);
   List.rev !out
-
-(* --- timeline sampler ------------------------------------------------- *)
-
-let take_sample t =
-  t.samples_rev <- (t.perf.Perf.cycles, Perf.snapshot t.perf) :: t.samples_rev;
-  t.next_sample <- t.perf.Perf.cycles + t.sample_every
-
-let samples t = List.rev t.samples_rev
 
 (* --- histograms ------------------------------------------------------- *)
 

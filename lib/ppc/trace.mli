@@ -1,7 +1,7 @@
 (** Event tracing for the simulator: what the 604's performance monitor
     could only count, this layer records as a stream.
 
-    Three instruments share one handle (owned by {!Memsys}, one per
+    Two instruments share one handle (owned by {!Memsys}, one per
     simulated machine):
 
     - a ring buffer of typed {e events} — TLB misses and reloads, htab
@@ -9,10 +9,12 @@
       hits, context switches, precise and lazy flushes, page faults,
       idle-task pre-zeroing and zombie reclaim — each stamped with the
       simulated cycle counter and the owning task's PID;
-    - a {e timeline sampler} that snapshots the {!Perf} counters every N
-      simulated cycles;
     - latency {!Hist} histograms of htab probe lengths, TLB-miss service
       costs and context-switch costs.
+
+    Perf-counter timelines are not sampled here: the flight {!Recorder}
+    is the one cycle-cadence sampler, and exporters that draw counter
+    tracks take its samples.
 
     Tracing is observation only: emitting never charges cycles, touches
     the caches or draws from an RNG, so a traced run produces exactly
@@ -56,30 +58,7 @@ type event = {
   e_b : int;
 }
 
-type t = {
-  perf : Perf.t;
-  mutable enabled : bool;
-  mutable r_kind : int array;
-  mutable r_cycle : int array;
-  mutable r_pid : int array;
-  mutable r_a : int array;
-  mutable r_b : int array;
-  mutable head : int;
-  kind_counts : int array;
-  mutable cur_pid : int;
-  mutable sample_every : int;
-  mutable next_sample : int;
-      (** [max_int] while sampling is off — {!Memsys} compares the cycle
-          counter against this on every charge, so the disabled sampler
-          costs one integer compare *)
-  mutable samples_rev : (int * Perf.t) list;
-  hist_probe : Hist.t;
-  hist_tlb_service : Hist.t;
-  hist_ctxsw : Hist.t;
-}
-(** Exposed so the one comparison on {!Memsys.t}'s charge path reads the
-    field directly; treat as read-only outside this module and
-    {!Memsys}. *)
+type t
 
 val create : perf:Perf.t -> t
 (** A disabled trace stamping events from [perf]'s cycle counter — unless
@@ -91,14 +70,9 @@ val enable : ?ring:int -> t -> unit
     overwritten on wrap) and start recording. *)
 
 val disable : t -> unit
-(** Stop recording and sampling; retained events stay readable. *)
+(** Stop recording; retained events stay readable. *)
 
 val enabled : t -> bool
-
-val set_sampling : t -> every:int -> unit
-(** Snapshot the Perf counters every [every] simulated cycles
-    ([every <= 0] turns sampling off).  Sampling works even when event
-    recording is disabled. *)
 
 (** {1 Boot defaults}
 
@@ -106,11 +80,9 @@ val set_sampling : t -> every:int -> unit
     experiment registry boots its own): arm tracing process-wide, run,
     then collect every trace created in between. *)
 
-val set_boot_defaults :
-  ?ring:int -> ?sample_every:int -> enabled:bool -> unit -> unit
+val set_boot_defaults : ?ring:int -> enabled:bool -> unit -> unit
 (** Arm ([enabled:true]) or disarm process-wide tracing for traces
-    created afterwards.  [sample_every > 0] also turns on timeline
-    sampling for them. *)
+    created afterwards. *)
 
 val drain_registered : unit -> t list
 (** Traces created-enabled via boot defaults since the last drain, in
@@ -160,13 +132,6 @@ val iter : t -> (event -> unit) -> unit
 
 val events : t -> event list
 (** Retained events, oldest first. *)
-
-val take_sample : t -> unit
-(** Record one timeline sample now (called by {!Memsys} when the cycle
-    counter passes [next_sample]). *)
-
-val samples : t -> (int * Perf.t) list
-(** Timeline samples as [(cycle, snapshot)], chronological. *)
 
 val hist_probe : t -> Hist.t
 val hist_tlb_service : t -> Hist.t

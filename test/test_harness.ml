@@ -307,8 +307,8 @@ let test_observed_run_jobs_invariant () =
      drains in-process *)
   let spec =
     { Observe.nothing with
-      trace = Some 20_000;
-      profile = Some 20_000;
+      trace = true;
+      profile = true;
       spans = true;
       shadow = true;
       cpus = 2 }
@@ -336,7 +336,7 @@ let test_observed_run_jobs_invariant () =
                 (r.Observe.id ^ " observes " ^ k)
                 true
                 (Json.member k obs <> None))
-            [ "timelines"; "profile"; "smp" ]
+            [ "events"; "profile"; "smp" ]
       | o, _ -> Alcotest.fail (r.Observe.id ^ ": " ^ Runner.describe o))
     serial;
   Alcotest.(check bool) "jobs=2 payloads equal jobs=1" true
@@ -348,6 +348,32 @@ let test_observed_run_jobs_invariant () =
   Alcotest.(check bool) "instruments disarmed afterwards" true
     (Kernel_sim.Kernel.boot_cpus () = 1
     && not (Ppc.Shadow.boot_enabled ()))
+
+let test_observed_run_restores_requests () =
+  (* the request count rides the spec like every other boot default:
+     experiments see it (in a forked worker too), and the default is
+     back once the run ends *)
+  let module Server = Workloads.Server in
+  let before = Server.boot_requests () in
+  let seen : string * (?seed:int -> unit -> Experiments.table) =
+    ( "REQ",
+      fun ?seed:_ () ->
+        mk_table ~title:(string_of_int (Server.boot_requests ())) [] )
+  in
+  List.iter
+    (fun jobs ->
+      match
+        Observe.run ~jobs { Observe.nothing with requests = Some 7 } [ seen ]
+      with
+      | [ { Observe.outcome = Runner.Done t; _ } ] ->
+          Alcotest.(check string)
+            (Printf.sprintf "jobs=%d: experiment saw the armed count" jobs)
+            "7" t.Experiments.title;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d: default restored" jobs)
+            before (Server.boot_requests ())
+      | _ -> Alcotest.fail "one finished experiment expected")
+    [ 1; 2 ]
 
 let test_runner_failure_isolation () =
   let boom : string * (?seed:int -> unit -> Experiments.table) =
@@ -534,6 +560,8 @@ let suite =
       test_runner_serial_equals_parallel;
     Alcotest.test_case "runner failure isolation" `Quick
       test_runner_failure_isolation;
+    Alcotest.test_case "observed run restores request count" `Quick
+      test_observed_run_restores_requests;
     Alcotest.test_case "observed run jobs-invariant" `Quick
       test_observed_run_jobs_invariant;
     Alcotest.test_case "runner real experiment (E13)" `Slow

@@ -57,8 +57,10 @@ let test_profiling_is_free () =
         let k =
           Kernel.boot ~machine:Machine.ppc604_185 ~policy ~seed:7 ()
         in
-        if profiled then
-          Profile.enable ~sample_every:10_000 (Kernel.profile k);
+        if profiled then begin
+          Profile.enable (Kernel.profile k);
+          Recorder.enable ~every:10_000 (Kernel.recorder k)
+        end;
         kernel_workload k;
         perf_signature (Kernel.perf k)
       in
@@ -73,12 +75,15 @@ let test_experiment_table_identical_under_boot_defaults () =
      when the CLI arms process-wide profiling *)
   let d1 = Option.get (Experiments.find "D1") in
   let plain = d1.Experiments.run ~seed:42 () in
-  Profile.set_boot_defaults ~sample_every:50_000 ~enabled:true ();
+  Profile.set_boot_defaults ~enabled:true ();
+  Recorder.set_boot_defaults ~every:50_000 ~enabled:true ();
   let profiled, profilers =
     Fun.protect
       ~finally:(fun () ->
         Profile.set_boot_defaults ~enabled:false ();
-        ignore (Profile.drain_registered () : Profile.t list))
+        Recorder.set_boot_defaults ~enabled:false ();
+        ignore (Profile.drain_registered () : Profile.t list);
+        ignore (Recorder.drain_registered () : Recorder.t list))
       (fun () ->
         let t = d1.Experiments.run ~seed:42 () in
         (t, Profile.drain_registered ()))
@@ -91,7 +96,7 @@ let test_experiment_table_identical_under_boot_defaults () =
 (* --- accounting on hand-fed charges ------------------------------------ *)
 
 let hand_charged () =
-  let pr = Profile.create ~perf:(Perf.create ()) in
+  let pr = Profile.create () in
   Profile.enable pr;
   Profile.charge_miss pr ~pid:3 ~seg:2 ~page:0x2000 ~kind:Profile.Dtlb
     ~cost:412170;
@@ -141,7 +146,7 @@ let test_folded_golden () =
     (Profile_export.folded [ hand_charged () ])
 
 let test_census () =
-  let pr = Profile.create ~perf:(Perf.create ()) in
+  let pr = Profile.create () in
   Profile.enable pr;
   Profile.set_tlb_capacity pr 256;
   Profile.note_tlb_census pr ~kernel:2 ~occupied:8;
@@ -158,16 +163,45 @@ let test_census () =
     c.Profile.avg_share_pct
 
 let test_htab_sampling () =
-  (* a profiled kernel run records occupancy samples and can snapshot
-     the htab on demand *)
+  (* the occupancy series of a profiled run is the flight recorder's
+     "htab" gauge; the profiler snapshots the htab on demand *)
   let k =
     Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.baseline ~seed:7 ()
   in
   let pr = Kernel.profile k in
-  Profile.enable ~sample_every:5_000 pr;
+  Profile.enable pr;
+  let rcd = Kernel.recorder k in
+  Recorder.enable ~every:5_000 rcd;
+  let stream = ref [] in
+  Recorder.set_on_sample rcd (fun _ s -> stream := s :: !stream);
   kernel_workload k;
-  Alcotest.(check bool) "periodic samples recorded" true
-    (Profile.samples pr <> []);
+  let samples = List.rev !stream in
+  Alcotest.(check bool) "periodic samples recorded" true (samples <> []);
+  let htab doc =
+    match Json.member "htab" doc with
+    | Some (Json.List [ h ]) -> h
+    | _ -> Alcotest.fail "one htab entry expected"
+  in
+  let series = htab (Profile_export.to_json ~samples [ pr ]) in
+  (match Json.member "samples" series with
+  | Some (Json.List rows) ->
+      Alcotest.(check int) "one row per recorder sample"
+        (List.length samples) (List.length rows);
+      List.iter2
+        (fun (s : Recorder.sample) row ->
+          match (row, List.assoc "htab" s.Recorder.s_gauges) with
+          | Json.List [ Json.Int c; Json.Int v; Json.Int z ], g ->
+              Alcotest.(check (triple int int int)) "row = htab gauge"
+                (s.Recorder.s_cycle, g.(0), g.(2)) (c, v, z)
+          | _ -> Alcotest.fail "malformed series row")
+        samples rows
+  | _ -> Alcotest.fail "series missing");
+  Alcotest.(check bool) "peak reported with the series" true
+    (Json.member "peak_occupancy_pct" series <> None);
+  Alcotest.(check bool) "no series without samples" true
+    (let plain = htab (Profile_export.to_json [ pr ]) in
+     Json.member "samples" plain = None
+     && Json.member "peak_occupancy_pct" plain = None);
   match Profile.snapshot_htab pr with
   | None -> Alcotest.fail "baseline policy machine has an htab"
   | Some s ->
@@ -263,9 +297,9 @@ let test_explain_attribution_join () =
 let test_boot_defaults_registry () =
   Alcotest.(check int) "registry empty" 0
     (List.length (Profile.drain_registered ()));
-  let mk () = Profile.create ~perf:(Perf.create ()) in
+  let mk () = Profile.create () in
   Alcotest.(check bool) "disabled by default" false (Profile.enabled (mk ()));
-  Profile.set_boot_defaults ~sample_every:123 ~enabled:true ();
+  Profile.set_boot_defaults ~enabled:true ();
   Fun.protect
     ~finally:(fun () ->
       Profile.set_boot_defaults ~enabled:false ();

@@ -1,14 +1,38 @@
-(* The flight recorder core: one-int-compare disabled cost, fixed-cadence
-   sampling, deterministic decimation under the retention cap, in-place
-   gauge replacement, the streaming hook, the boot-defaults registry —
-   and the free-ness contract (an armed run's tables are byte-identical
-   to a bare run at the same seed). *)
+(* The flight recorder core — the simulator's one cycle-cadence
+   sampler: one-int-compare disabled cost, fixed-cadence sampling driven
+   by the charge path's deadline, deterministic decimation under the
+   retention cap that never coarsens the stream, in-place gauge
+   replacement, the streaming hook, the boot-defaults registry — and the
+   free-ness contract (an armed run's counters and tables are
+   byte-identical to a bare run at the same seed). *)
 open Ppc
 module Experiments = Mmu_tricks.Experiments
 
 let mk () =
   let perf = Perf.create () in
   (perf, Recorder.create ~perf)
+
+(* A run that misses the TLBs over and over: an arena larger than both
+   TLBs swept several times, plus a fork/exit for flush traffic. *)
+let reload_heavy k =
+  let module Kernel = Kernel_sim.Kernel in
+  let t1 = Kernel.spawn k () in
+  Kernel.switch_to k t1;
+  let arena = Kernel.sys_mmap k ~pages:192 ~writable:true in
+  for round = 0 to 3 do
+    for i = 0 to 191 do
+      Kernel.touch k
+        (if round = 0 then Mmu.Store else Mmu.Load)
+        (arena + (i lsl Addr.page_shift))
+    done;
+    Kernel.user_run k ~instrs:5_000
+  done;
+  let t2 = Kernel.sys_fork k in
+  Kernel.switch_to k t2;
+  Kernel.touch k Mmu.Store arena;
+  Kernel.sys_exit k;
+  Kernel.switch_to k t1;
+  Kernel.sys_munmap k ~ea:arena ~pages:192
 
 (* --- lifecycle --------------------------------------------------------- *)
 
@@ -58,21 +82,30 @@ let test_snapshot_immutable () =
 
 (* --- decimation -------------------------------------------------------- *)
 
+(* Advance the clock the way [Memsys.charge] does: [step]-cycle charges,
+   each followed by the one compare against the recorder's deadline. *)
+let drive perf r ~step ~until =
+  while perf.Perf.cycles < until do
+    perf.Perf.cycles <- perf.Perf.cycles + step;
+    if perf.Perf.cycles >= r.Recorder.next_sample then Recorder.take_sample r
+  done
+
 let test_decimation () =
   let perf, r = mk () in
   Recorder.enable ~every:10 ~cap:4 r;
-  for i = 1 to 9 do
-    perf.Perf.cycles <- i * 10;
-    Recorder.take_sample r
-  done;
-  (* cap 4: the stream halves (keep every other sample, double the
-     cadence) each time it fills — 9 samples decimate three times *)
+  drive perf r ~step:10 ~until:90;
+  (* cap 4: the retained stream halves (keep every other sample, double
+     the retention stride) each time it fills — 9 samples decimate
+     twice, and sampling never leaves the base cadence *)
   Alcotest.(check int) "total counts every sample" 9 (Recorder.total r);
   Alcotest.(check int) "retained under cap" 3 (Recorder.length r);
   Alcotest.(check (list int)) "kept samples are deterministic"
-    [ 10; 70; 90 ]
+    [ 10; 50; 90 ]
     (List.map (fun s -> s.Recorder.s_cycle) (Recorder.samples r));
-  Alcotest.(check int) "cadence doubled per decimation" 80 (Recorder.every r)
+  Alcotest.(check int) "retained cadence doubled per decimation" 40
+    (Recorder.every r);
+  Alcotest.(check int) "next sample at the base cadence" 100
+    r.Recorder.next_sample
 
 let test_streaming_hook_sees_everything () =
   let perf, r = mk () in
@@ -82,14 +115,33 @@ let test_streaming_hook_sees_everything () =
       Alcotest.(check int) "hook gets the owning recorder"
         (Recorder.run_id r) (Recorder.run_id rcd);
       streamed := s.Recorder.s_cycle :: !streamed);
-  for i = 1 to 9 do
-    perf.Perf.cycles <- i * 10;
-    Recorder.take_sample r
-  done;
+  drive perf r ~step:10 ~until:200;
   (* decimation coarsens retention, never the stream *)
   Alcotest.(check (list int)) "full stream at original cadence"
-    [ 10; 20; 30; 40; 50; 60; 70; 80; 90 ]
+    (List.init 20 (fun i -> (i + 1) * 10))
     (List.rev !streamed)
+
+(* The same seeded kernel run streamed under a tiny retention cap and
+   under the default one: decimation must not move a single sample. *)
+let test_stream_independent_of_cap () =
+  let stream cap =
+    let k =
+      Kernel_sim.Kernel.boot ~machine:Machine.ppc604_185
+        ~policy:Kernel_sim.Policy.optimized ~seed:11 ()
+    in
+    let r = Kernel_sim.Kernel.recorder k in
+    Recorder.enable ~every:5_000 ?cap r;
+    let out = ref [] in
+    Recorder.set_on_sample r (fun _ s -> out := s :: !out);
+    reload_heavy k;
+    (List.rev !out, Recorder.length r)
+  in
+  let small, retained = stream (Some 4) in
+  let full, _ = stream None in
+  Alcotest.(check bool) "stream decimated under cap 4" true
+    (List.length small > 8 && retained <= 4);
+  Alcotest.(check bool) "cap 4 stream equals default-cap stream" true
+    (small = full)
 
 (* --- gauge sources ----------------------------------------------------- *)
 
@@ -113,6 +165,45 @@ let test_sources_lazy () =
       incr calls;
       [| 0 |]);
   Alcotest.(check int) "never called until a sample fires" 0 !calls
+
+(* --- the charge path ---------------------------------------------------- *)
+
+let test_sampling_iff_armed () =
+  let m = Memsys.create ~machine:Machine.ppc604_185 ~perf:(Perf.create ()) in
+  let r = Memsys.recorder m in
+  Alcotest.(check bool) "unarmed: not sampling" false (Memsys.sampling m);
+  Recorder.enable ~every:100 r;
+  Alcotest.(check bool) "armed: sampling" true (Memsys.sampling m);
+  Memsys.stall m 120;
+  Alcotest.(check int) "a charge past the deadline samples" 1
+    (Recorder.total r);
+  Recorder.disable r;
+  Alcotest.(check bool) "disarmed: not sampling" false (Memsys.sampling m);
+  Memsys.stall m 1_000;
+  Alcotest.(check int) "no samples while disarmed" 1 (Recorder.total r)
+
+(* While armed, the MMU's fused reload charges fall back to the
+   charge-by-charge sequence; the counters must not notice. *)
+let test_armed_reload_counters_unchanged () =
+  let run armed =
+    let k =
+      Kernel_sim.Kernel.boot ~machine:Machine.ppc604_185
+        ~policy:Kernel_sim.Policy.optimized ~seed:5 ()
+    in
+    if armed then
+      Recorder.enable ~every:997 (Kernel_sim.Kernel.recorder k);
+    reload_heavy k;
+    let p = Kernel_sim.Kernel.perf k in
+    (Perf.fields p, Recorder.total (Kernel_sim.Kernel.recorder k))
+  in
+  let bare, _ = run false and armed, samples = run true in
+  Alcotest.(check bool) "reloads happened" true
+    (List.assoc "itlb_misses" bare + List.assoc "dtlb_misses" bare > 200);
+  Alcotest.(check bool) "armed run sampled" true (samples > 0);
+  List.iter2
+    (fun (name, a) (_, b) ->
+      Alcotest.(check int) ("counter " ^ name ^ " unperturbed") a b)
+    bare armed
 
 (* --- boot registry ----------------------------------------------------- *)
 
@@ -175,6 +266,12 @@ let suite =
     Alcotest.test_case "decimation" `Quick test_decimation;
     Alcotest.test_case "streaming hook sees everything" `Quick
       test_streaming_hook_sees_everything;
+    Alcotest.test_case "stream independent of cap" `Quick
+      test_stream_independent_of_cap;
+    Alcotest.test_case "memsys samples iff armed" `Quick
+      test_sampling_iff_armed;
+    Alcotest.test_case "armed reload counters unchanged" `Quick
+      test_armed_reload_counters_unchanged;
     Alcotest.test_case "gauge replace in place" `Quick
       test_gauge_replace_in_place;
     Alcotest.test_case "sources lazy until armed" `Quick test_sources_lazy;

@@ -1,12 +1,13 @@
-(* The observability layer: event ring, histograms, timeline sampling,
-   Chrome export, and the non-perturbation contract. *)
+(* The observability layer: event ring, histograms, Perf timelines from
+   the flight recorder, Chrome export, and the non-perturbation
+   contract. *)
 open Ppc
 module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Trace_export = Mmu_tricks.Trace
 module Json = Mmu_tricks.Json
 
-let mk_trace () = Trace.create ~perf:(Perf.create ())
+let mk_trace ?(perf = Perf.create ()) () = Trace.create ~perf
 
 (* --- histograms ------------------------------------------------------- *)
 
@@ -69,10 +70,11 @@ let test_disabled_emits_nothing () =
     && Hist.is_empty (Trace.hist_ctxsw tr))
 
 let test_ring_wraparound () =
-  let tr = mk_trace () in
+  let perf = Perf.create () in
+  let tr = mk_trace ~perf () in
   Trace.enable ~ring:8 tr;
   for i = 0 to 19 do
-    tr.Trace.perf.Perf.cycles <- i * 10;
+    perf.Perf.cycles <- i * 10;
     Trace.emit tr Trace.Bat_hit ~a:i ~b:0
   done;
   Alcotest.(check int) "capacity" 8 (Trace.capacity tr);
@@ -103,42 +105,61 @@ let test_event_payloads () =
       Alcotest.(check int) "emit_for overrides pid" 0 e2.Trace.e_pid
   | l -> Alcotest.failf "expected 2 events, got %d" (List.length l)
 
+(* A Perf timeline is the flight recorder's stream, sampled wherever the
+   charge path crosses its deadline. *)
 let test_sampling () =
-  let tr = mk_trace () in
-  Trace.set_sampling tr ~every:100;
+  let m = Memsys.create ~machine:Machine.ppc604_185 ~perf:(Perf.create ()) in
+  let r = Memsys.recorder m in
+  Recorder.enable ~every:100 r;
   Alcotest.(check bool)
     "armed at cycles + every" true
-    (tr.Trace.next_sample = 100);
-  tr.Trace.perf.Perf.cycles <- 120;
-  Trace.take_sample tr;
-  tr.Trace.perf.Perf.cycles <- 250;
-  Trace.take_sample tr;
-  (match Trace.samples tr with
-  | [ (c1, _); (c2, s2) ] ->
-      Alcotest.(check int) "first sample cycle" 120 c1;
-      Alcotest.(check int) "second sample cycle" 250 c2;
-      Alcotest.(check int) "snapshot captured" 250 s2.Perf.cycles
+    (r.Recorder.next_sample = 100);
+  let timeline = ref [] in
+  Recorder.set_on_sample r (fun _ s -> timeline := s :: !timeline);
+  Memsys.stall m 120;
+  Memsys.stall m 130;
+  (match List.rev !timeline with
+  | [ s1; s2 ] ->
+      Alcotest.(check int) "first sample cycle" 120 s1.Recorder.s_cycle;
+      Alcotest.(check int) "second sample cycle" 250 s2.Recorder.s_cycle;
+      Alcotest.(check int) "snapshot captured" 250
+        s2.Recorder.s_perf.Perf.cycles
   | l -> Alcotest.failf "expected 2 samples, got %d" (List.length l));
-  Trace.set_sampling tr ~every:0;
+  Recorder.disable r;
+  Memsys.stall m 1_000;
   Alcotest.(check bool)
     "disarmed sampler never fires" true
-    (tr.Trace.next_sample = max_int)
+    (r.Recorder.next_sample = max_int && List.length !timeline = 2)
 
 (* --- exporters -------------------------------------------------------- *)
 
+let contains_phase ph doc =
+  match Json.member "traceEvents" doc with
+  | Some (Json.List events) ->
+      List.exists
+        (fun e -> Json.member "ph" e = Some (Json.String ph))
+        events
+  | _ -> false
+
 let test_chrome_roundtrip () =
-  let tr = mk_trace () in
+  let perf = Perf.create () in
+  let tr = mk_trace ~perf () in
+  let rcd = Recorder.create ~perf in
+  Recorder.enable ~every:1 rcd;
   Trace.enable ~ring:64 tr;
-  tr.Trace.perf.Perf.cycles <- 1000;
+  perf.Perf.cycles <- 1000;
   Trace.emit tr Trace.Dtlb_miss ~a:0x4000_0000 ~b:0;
-  tr.Trace.perf.Perf.cycles <- 1200;
+  perf.Perf.cycles <- 1200;
   Trace.emit_tlb_service tr ~ea:0x4000_0000 ~cost:200;
   Trace.emit_context_switch tr ~pid:2 ~cost:800;
-  Trace.take_sample tr;
-  tr.Trace.perf.Perf.cycles <- 2400;
-  tr.Trace.perf.Perf.dtlb_misses <- 5;
-  Trace.take_sample tr;
-  let doc = Trace_export.to_chrome ~mhz:100 ~name:"test" tr in
+  Recorder.take_sample rcd;
+  perf.Perf.cycles <- 2400;
+  perf.Perf.dtlb_misses <- 5;
+  Recorder.take_sample rcd;
+  let samples = Recorder.samples rcd in
+  Alcotest.(check bool) "no samples, no counter tracks" false
+    (contains_phase "C" (Trace_export.to_chrome ~mhz:100 ~name:"test" tr));
+  let doc = Trace_export.to_chrome ~mhz:100 ~name:"test" ~samples tr in
   let text = Json.to_string ~compact:true doc in
   match Json.of_string text with
   | Error e -> Alcotest.failf "emitted chrome JSON does not parse: %s" e
@@ -207,9 +228,11 @@ let test_no_perturbation () =
   let traced = boot () in
   let tr = Kernel.trace traced in
   Trace.enable ~ring:1024 tr;
-  Trace.set_sampling tr ~every:50_000;
+  Recorder.enable ~every:50_000 (Kernel.recorder traced);
   drive traced;
   Alcotest.(check bool) "trace recorded something" true (Trace.total tr > 0);
+  Alcotest.(check bool) "timeline sampled" true
+    (Recorder.total (Kernel.recorder traced) > 0);
   List.iter2
     (fun (name, a) (_, b) ->
       Alcotest.(check int) ("counter " ^ name ^ " unperturbed") a b)
