@@ -705,17 +705,6 @@ let incidents sk = List.rev sk.sk_incidents_rev
 
 (* ------------------------------------------------------ session glue *)
 
-let arm ?(every = Recorder.default_every) ?(cap = Recorder.default_cap) sk =
-  Recorder.set_boot_defaults ~every ~cap ~enabled:true ();
-  Recorder.set_boot_attach (Some (fun rcd -> attach sk rcd))
-
-let disarm () =
-  Recorder.set_boot_defaults ~enabled:false ();
-  Recorder.set_boot_attach None
-
-let drain_into sk =
-  List.iter (fun rcd -> finish sk rcd) (Recorder.drain_registered ())
-
 (* Recorder run ids count per process, and forked workers inherit the
    parent's counter, so two workers can hand out the same id.  The
    supervisor renumbers each experiment's batch in registry order; every

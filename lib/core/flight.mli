@@ -18,11 +18,13 @@
       process per recorder, one counter per metric, instant markers for
       incidents).
 
-    A {!sink} is the streaming state machine; {!arm} wires it into every
-    kernel booted afterwards via {!Ppc.Recorder.set_boot_attach}.  The
-    sink writes through a caller-supplied [write]: {!Observe.run}
-    buffers the lines in whatever process hosted each experiment and
-    ships them through {!Runner.collect_hook}. *)
+    A {!sink} is the streaming state machine; {!Observe.run} wires it
+    into every kernel the experiments boot by putting {!attach} in the
+    [Kernel] instruments default, and {!finish}es each of those
+    kernels' recorders after the experiment.  The sink writes through a
+    caller-supplied [write]: {!Observe.run} buffers the lines in
+    whatever process hosted each experiment and ships them through
+    {!Runner.collect_hook}. *)
 
 open Ppc
 
@@ -179,17 +181,6 @@ val incidents : sink -> incident list
 (** Incidents fired through this sink, in firing order. *)
 
 (** {1 Session glue} *)
-
-val arm : ?every:int -> ?cap:int -> sink -> unit
-(** Arm {!Ppc.Recorder.set_boot_defaults} and point
-    {!Ppc.Recorder.set_boot_attach} at [attach sink]: every kernel
-    booted afterwards records into this sink. *)
-
-val disarm : unit -> unit
-
-val drain_into : sink -> unit
-(** {!finish} every boot-armed recorder created since the last drain —
-    call after each experiment, in the process that hosted it. *)
 
 val renumber_runs : string list list -> string list list
 (** Renumber the run ids of per-experiment line batches (given in

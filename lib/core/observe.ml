@@ -1,7 +1,8 @@
-(* Observed runs: arm the process-wide instrument defaults, drain every
-   registry in whatever process hosted each experiment, ship one JSON
-   payload per experiment over the Runner's result pipe, disarm.  One
-   path serves every instrument at any job count. *)
+(* Observed runs: arm the process-wide [Kernel] instruments default,
+   drain the kernels each experiment booted in whatever process hosted
+   it, ship one JSON payload per experiment over the Runner's result
+   pipe, restore the caller's default.  One path serves every
+   instrument at any job count. *)
 
 module Kernel = Kernel_sim.Kernel
 
@@ -38,8 +39,8 @@ type result = {
 
 (* The SMP counter object for one experiment: every kernel the run
    booted, aggregated — the six shootdown/steal counters plus per-CPU
-   TLB-miss slices.  Single-CPU boots register too (set_smp_register),
-   so a cpus=1 document simply shows "cpus": 1 and zeros. *)
+   TLB-miss slices.  Single-CPU kernels count too, so a cpus=1 document
+   simply shows "cpus": 1 and zeros. *)
 let smp_json kernels =
   let cpus = List.fold_left (fun a k -> max a (Kernel.cpus k)) 1 kernels in
   let sum f = List.fold_left (fun a k -> a + f (Kernel.perf k)) 0 kernels in
@@ -65,22 +66,24 @@ let smp_json kernels =
       ("per_cpu_itlb_misses", Json.List (per_cpu Ppc.Mmu.cpu_itlb_misses));
       ("per_cpu_dtlb_misses", Json.List (per_cpu Ppc.Mmu.cpu_dtlb_misses)) ]
 
-(* Drain every registry once, in the hosting process, right after an
-   experiment: {"observability": {trace fields, profile, spans, smp},
-   "shadow": {...}, "flight": [lines]}, each key only when it has
-   content.  Registries are drained even when their instrument is off,
-   so nothing leaks into the next experiment. *)
-let collect spec ~flight_take _id =
-  let traces = Ppc.Trace.drain_registered () in
-  let profiles = Ppc.Profile.drain_registered () in
+(* Drain the booted kernels once, in the hosting process, right after
+   an experiment, and read each armed instrument off them:
+   {"observability": {trace fields, profile, spans, smp}, "shadow":
+   {...}, "flight": [lines]}, each key only when it has content. *)
+let collect spec ~flight _id =
+  let kernels = Kernel.drain_booted () in
+  let each armed f = if armed then List.map f kernels else [] in
   let spans =
-    List.filter Span_export.interesting (Ppc.Span.drain_registered ())
+    List.filter Span_export.interesting (each spec.spans Kernel.span)
   in
-  let checkers = Ppc.Shadow.drain_registered () in
-  let kernels = Kernel.drain_smp_registered () in
+  let checkers = List.filter_map Fun.id (each spec.shadow Kernel.shadow) in
   let obs =
-    (if spec.trace then Trace.observability_fields traces else [])
-    @ (if spec.profile then [ ("profile", Profile_export.to_json profiles) ]
+    (if spec.trace then
+       Trace.observability_fields (List.map Kernel.trace kernels)
+     else [])
+    @ (if spec.profile then
+         [ ("profile", Profile_export.to_json (List.map Kernel.profile kernels))
+         ]
        else [])
     @ (if spans = [] then [] else [ ("spans", Span_export.to_json spans) ])
     @ if kernels = [] then [] else [ ("smp", smp_json kernels) ]
@@ -99,7 +102,7 @@ let collect spec ~flight_take _id =
                    (Ppc.Shadow.divergences c))
                checkers) ) ]
   in
-  let flight = flight_take () in
+  let flight = flight kernels in
   let fields =
     (if obs = [] then [] else [ ("observability", Json.Obj obs) ])
     @ (if checkers = [] then [] else [ ("shadow", shadow ()) ])
@@ -124,34 +127,6 @@ let shadow_of payload =
     divergences = int "divergences";
     reports = strings (field "reports") }
 
-(* Whatever was registered before the run (kernels booted by earlier
-   callers in this process) or left behind by an aborted one: dropped,
-   so a serial run's first experiment starts as clean as a worker's. *)
-let drop_registered () =
-  ignore (collect nothing ~flight_take:(fun () -> []) "" : Json.t option);
-  ignore (Ppc.Recorder.drain_registered () : Ppc.Recorder.t list)
-
-let arm spec =
-  drop_registered ();
-  if spec.trace then Ppc.Trace.set_boot_defaults ~enabled:true ();
-  if spec.profile then Ppc.Profile.set_boot_defaults ~enabled:true ();
-  if spec.spans then Ppc.Span.set_boot_defaults ~enabled:true ();
-  if spec.shadow then Ppc.Shadow.set_boot_defaults ~enabled:true ();
-  Kernel.set_boot_cpus spec.cpus;
-  Kernel.set_smp_register true;
-  Option.iter Server.set_boot_requests spec.requests
-
-let disarm ~cpus ~requests =
-  Ppc.Trace.set_boot_defaults ~enabled:false ();
-  Ppc.Profile.set_boot_defaults ~enabled:false ();
-  Ppc.Span.set_boot_defaults ~enabled:false ();
-  Ppc.Shadow.set_boot_defaults ~enabled:false ();
-  Flight.disarm ();
-  Kernel.set_boot_cpus cpus;
-  Kernel.set_smp_register false;
-  Server.set_boot_requests requests;
-  drop_registered ()
-
 let run ?jobs ?seed ?timeout ?retries spec selected =
   (* each hosting process buffers its own timeline lines; the hook
      ships them with the result and the supervisor concatenates *)
@@ -163,26 +138,33 @@ let run ?jobs ?seed ?timeout ?retries spec selected =
         (every, Flight.sink ~rules ~write ()))
       spec.record
   in
-  let flight_take () =
+  let flight kernels =
     match sink with
     | None -> []
     | Some (_, sk) ->
-        Flight.drain_into sk;
+        List.iter (fun k -> Flight.finish sk (Kernel.recorder k)) kernels;
         let lines = List.rev !buf in
         buf := [];
         lines
   in
+  let instruments =
+    { Kernel.trace = spec.trace;
+      profile = spec.profile;
+      spans = spec.spans;
+      shadow = spec.shadow;
+      record = Option.map (fun (every, sk) -> (every, Flight.attach sk)) sink;
+      cpus = spec.cpus }
+  in
   let saved_hook = !Runner.collect_hook in
-  let saved_cpus = Kernel.boot_cpus () in
   let saved_requests = Server.boot_requests () in
   Fun.protect
     ~finally:(fun () ->
-      disarm ~cpus:saved_cpus ~requests:saved_requests;
+      Server.set_boot_requests saved_requests;
       Runner.collect_hook := saved_hook)
   @@ fun () ->
-  arm spec;
-  Option.iter (fun (every, sk) -> Flight.arm ~every sk) sink;
-  Runner.collect_hook := collect spec ~flight_take;
+  Kernel.with_instruments (Some instruments) @@ fun () ->
+  Option.iter Server.set_boot_requests spec.requests;
+  Runner.collect_hook := collect spec ~flight;
   let rc = Runner.run_collect ?jobs ?seed ?timeout ?retries selected in
   let flights =
     Flight.renumber_runs

@@ -1,16 +1,17 @@
 (** Observed runs of registry experiments: the one place the
-    instruments are armed, collected and disarmed.
+    instruments are armed and collected.
 
     The experiment registry boots its own kernels, out of the caller's
-    reach, so observation works through process-wide boot defaults
-    (Trace, Profile, Span, Shadow, Recorder, [Kernel.set_boot_cpus],
-    [Kernel.set_smp_register] and [Server.set_boot_requests]).  {!run} arms them before any worker
-    forks, installs a {!Runner.collect_hook} that drains every registry
-    in whatever process hosted each experiment and ships one JSON
-    payload back over the result pipe, and disarms them when the run
-    ends.  Because the data is drained where it was recorded, every
-    instrument composes with any [--jobs] count, and the merged result
-    is byte-identical to a serial run. *)
+    reach, so observation works through the one process-wide
+    [Kernel.instruments] default (plus [Server.set_boot_requests]).
+    {!run} sets it before any worker forks, installs a
+    {!Runner.collect_hook} that drains the kernels each experiment
+    booted in whatever process hosted it, reads every armed instrument
+    off them and ships one JSON payload back over the result pipe, and
+    restores the caller's default when the run ends.  Because the data
+    is drained where it was recorded, every instrument composes with
+    any [--jobs] count, and the merged result is byte-identical to a
+    serial run. *)
 
 type spec = {
   trace : bool;  (** arm event rings and latency histograms *)
@@ -60,9 +61,10 @@ val run :
   spec ->
   (string * (?seed:int -> unit -> Experiments.table)) list ->
   result list
-(** Arm [spec], {!Runner.run_collect} the experiments, disarm (also on
-    an exception) and restore the previous {!Runner.collect_hook}, boot
-    CPU count and server request count.
+(** Arm [spec] as the [Kernel] instruments default,
+    {!Runner.run_collect} the experiments, then restore (also on an
+    exception) the caller's default and booted-kernel list, the
+    previous {!Runner.collect_hook} and the server request count.
     Results come back in input order.  An experiment whose host died
     before delivering carries no observability, no flight lines, and a
     zero shadow verdict. *)

@@ -122,8 +122,8 @@ end
    same pipe as the result, which is what lets instrumented runs keep
    [--jobs N]: the data is drained where it was recorded instead of
    being stranded in a child.  The hook must be installed before [fork]
-   (children inherit it) and should also drain any per-experiment
-   instrument registries so payloads cannot leak across experiments. *)
+   (children inherit it) and should also drain the kernels the
+   experiment booted so payloads cannot leak across experiments. *)
 let collect_hook : (string -> Json.t option) ref = ref (fun _ -> None)
 
 let collect id = try !collect_hook id with _ -> None

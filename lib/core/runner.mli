@@ -55,11 +55,12 @@ val collect_hook : (string -> Json.t option) ref
 (** Per-experiment payload collector, called with the experiment id in
     whatever process hosted the attempt, immediately after it finished.
     The payload rides the existing result pipe back to the supervisor,
-    which is what lets every instrument whose data lives in
-    process-local registries (traces, profilers, span recorders, shadow
-    checkers, SMP kernels, flight recorders — see {!Observe.run}) keep
-    [--jobs N]: each worker drains its own registries and ships the
-    digest, instead of the data dying with the child.  The default hook
+    which is what lets every instrument whose data lives in the
+    process-local kernels an experiment booted (traces, profilers, span
+    recorders, shadow checkers, SMP counters, flight recorders — see
+    {!Observe.run}) keep [--jobs N]: each worker drains its own booted
+    kernels and ships the digest, instead of the data dying with the
+    child.  The default hook
     returns [None]; hook exceptions are swallowed (a broken collector
     must not fail the experiment).
     The hook runs after {e every} attempt, so on a retried experiment

@@ -100,42 +100,74 @@ let lazy_flush_available t =
   t.k_policy.Policy.lazy_flush
   && Vsid_alloc.source t.k_vsid = Vsid_alloc.Context_counter
 
-(* Boot-default CPU count, mirroring the Shadow/Trace registry pattern:
-   the experiment driver cannot reach the kernels the registry boots, so
-   [experiment --cpus N] arms the default process-wide.  Kernels booted
-   with more than one CPU register themselves so the driver can drain
-   their SMP counters afterwards. *)
+(* --- instruments ------------------------------------------------------ *)
+
 let max_cpus = 30
 
-let boot_cpus_default = ref 1
+type instruments = {
+  trace : bool;
+  profile : bool;
+  spans : bool;
+  shadow : bool;
+  record : (int * (Recorder.t -> unit)) option;
+  cpus : int;
+}
 
-let set_boot_cpus n =
-  if n < 1 || n > max_cpus then invalid_arg "Kernel.set_boot_cpus";
-  boot_cpus_default := n
+let no_instruments =
+  { trace = false;
+    profile = false;
+    spans = false;
+    shadow = false;
+    record = None;
+    cpus = 1 }
 
-let boot_cpus () = !boot_cpus_default
+(* The experiment registry boots its own kernels, out of any driver's
+   reach, so a driver arms this one process-wide default instead: every
+   kernel booted while it is [Some] arms its instruments from it and
+   joins [booted_rev], which the driver drains after each experiment.
+   Forked workers inherit both.  While it is [None] nothing is retained,
+   so tests and benches can boot thousands of kernels. *)
+let default : instruments option ref = ref None
+let booted_rev : t list ref = ref []
 
-let smp_registered_rev : t list ref = ref []
+let instruments () = !default
 
-(* [experiment] wants the SMP counters of every kernel the registry
-   boots even at one CPU (the baseline document carries the smp object
-   at [--cpus 1]); tests and benches boot thousands of kernels and must
-   not accumulate them.  So registration at [cpus = 1] is opt-in,
-   process-wide, like the other boot defaults. *)
-let smp_register_always = ref false
+let with_instruments ins f =
+  let saved = !default and saved_booted = !booted_rev in
+  default := ins;
+  booted_rev := [];
+  Fun.protect
+    ~finally:(fun () ->
+      default := saved;
+      booted_rev := saved_booted)
+    f
 
-let set_smp_register b = smp_register_always := b
-
-let drain_smp_registered () =
-  let l = List.rev !smp_registered_rev in
-  smp_registered_rev := [];
+let drain_booted () =
+  let l = List.rev !booted_rev in
+  booted_rev := [];
   l
 
+let arm_memsys memsys ins =
+  if ins.trace then Trace.enable (Memsys.trace memsys);
+  if ins.profile then Profile.enable (Memsys.profile memsys);
+  if ins.spans then Span.enable (Memsys.span memsys);
+  Option.iter
+    (fun (every, attach) ->
+      let rcd = Memsys.recorder memsys in
+      Recorder.enable ~every rcd;
+      attach rcd)
+    ins.record
+
 let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
-  let cpus = match cpus with Some n -> n | None -> !boot_cpus_default in
+  let armed = !default in
+  let ins = Option.value armed ~default:no_instruments in
+  let cpus = Option.value cpus ~default:ins.cpus in
   if cpus < 1 || cpus > max_cpus then invalid_arg "Kernel.boot: cpus";
   let perf = Perf.create () in
   let memsys = Memsys.create ~machine ~perf in
+  (* armed before anything charges a cycle, so a recorder's cadence
+     counts from cycle 0 *)
+  arm_memsys memsys ins;
   let rng = Rng.create ~seed in
   (* the MMU's eviction choices draw from their own stream so that two
      policies compared at the same seed see byte-identical workloads *)
@@ -157,19 +189,9 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
     Mmu.create ~htab_base_pa:Kparams.htab_pa ~cpus ~machine ~memsys
       ~knobs:(Policy.mmu_knobs policy) ~backing:dummy_backing ~rng:mmu_rng ()
   in
-  (* Shadow checking: explicit request wins; otherwise honour the
-     process-wide boot default (set by [experiment --shadow], which
-     cannot reach the kernels the registry boots).  Checkers created via
-     the default are registered so the driver can drain them. *)
-  (match shadow with
-  | Some false -> ()
-  | Some true -> Mmu.attach_shadow mmu (Shadow.create ())
-  | None ->
-      if Shadow.boot_enabled () then begin
-        let sh = Shadow.create () in
-        Shadow.register sh;
-        Mmu.attach_shadow mmu sh
-      end);
+  (* Shadow checking: an explicit request wins over the default. *)
+  if Option.value shadow ~default:ins.shadow then
+    Mmu.attach_shadow mmu (Shadow.create ());
   let t =
     { k_machine = machine;
       k_policy = policy;
@@ -265,9 +287,7 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
   Mmu.set_vsid_is_zombie mmu (Vsid_alloc.is_zombie vsid);
   (* The attribution profiler's TLB census classifies slots with the
      same ownership test as the §5.1 footprint measurement.  Like Trace,
-     the profiler itself was created (and, if [Profile.set_boot_defaults]
-     armed process-wide profiling, enabled and registered) inside
-     [Memsys.create] above. *)
+     the profiler itself was created inside [Memsys.create] above. *)
   Mmu.set_vsid_is_kernel mmu Vsid_alloc.is_kernel;
   (* The §7 escape hatch at the 20-bit context-counter wrap: before any
      wrapped id is re-issued, flush every TLB on every CPU and purge the
@@ -282,8 +302,7 @@ let boot ~machine ~policy ?(seed = 42) ?shadow ?cpus () =
       | None -> ()
       | Some h ->
           ignore (Mmu.reclaim_zombies mmu ~max_ptes:(Htab.capacity h) : int));
-  if cpus > 1 || !smp_register_always then
-    smp_registered_rev := t :: !smp_registered_rev;
+  if Option.is_some armed then booted_rev := t :: !booted_rev;
   t
 
 (* --- kernel path execution ------------------------------------------- *)

@@ -30,42 +30,59 @@ val boot :
     kernel map, program BATs (policy permitting), install kernel segment
     registers and the MMU backing, and start the performance monitor.
 
+    While the process-wide {!instruments} default is armed, the new
+    kernel's trace, profiler, span recorder and flight recorder are
+    enabled from it right after the memory system is built (before
+    any cycle is charged), and the kernel joins the list
+    {!drain_booted} returns.  While it is disarmed the kernel's
+    instruments start disabled and nothing retains the kernel.
+
     [?shadow] attaches a {!Ppc.Shadow} checker that cross-validates
     every translation against the reference MMU.  When omitted, the
-    process-wide {!Ppc.Shadow.boot_enabled} default applies and any
-    checker so created is {!Ppc.Shadow.register}ed for the driver to
-    drain — the hook [experiment --shadow] uses to reach kernels booted
-    deep inside the experiment registry.
+    default's [shadow] applies (none when disarmed).
 
     [?cpus] boots an SMP machine: per-CPU segment registers, BAT banks
     and TLBs behind one shared memory system and htab, with every CPU's
-    kernel mapping programmed at boot.  When omitted, the process-wide
-    {!set_boot_cpus} default (1) applies, and a kernel booted with more
-    than one CPU registers itself for {!drain_smp_registered}.  At
-    [cpus = 1] the boot — and everything after it — is byte-identical
-    to the single-CPU kernel.
-    @raise Invalid_argument when [cpus] is outside [1, 30]. *)
+    kernel mapping programmed at boot.  When omitted, the default's
+    [cpus] applies (1 when disarmed).  At [cpus = 1] the boot — and
+    everything after it — is byte-identical to the single-CPU kernel.
+    @raise Invalid_argument when [cpus] is outside [1, max_cpus]. *)
 
-val set_boot_cpus : int -> unit
-(** Arm the process-wide CPU-count default for subsequent boots that
-    omit [?cpus] — the hook [experiment --cpus N] uses to reach kernels
-    booted deep inside the experiment registry.
-    @raise Invalid_argument outside [1, 30]. *)
+(** {1 Instruments}
 
-val boot_cpus : unit -> int
-(** The current boot default. *)
+    The experiment registry boots its own kernels, out of any driver's
+    reach, so observation works through one process-wide default that
+    {!boot} reads.  Forked workers inherit it, so it composes with the
+    parallel Runner. *)
 
-val set_smp_register : bool -> unit
-(** Arm (or disarm) SMP registration for single-CPU boots too: with this
-    on, {e every} subsequent boot registers for
-    {!drain_smp_registered} — the hook [experiment] uses so the SMP
-    observability object rides the baseline document even at
-    [--cpus 1].  Off (the default), only [cpus > 1] boots register. *)
+val max_cpus : int
+(** The largest CPU count {!boot} accepts (30). *)
 
-val drain_smp_registered : unit -> t list
-(** Kernels booted with [cpus > 1] (or any count, under
-    {!set_smp_register}) since the last drain, in boot order — the
-    driver reads their shootdown/steal counters after a run. *)
+type instruments = {
+  trace : bool;  (** enable the event trace *)
+  profile : bool;  (** enable the attribution profiler *)
+  spans : bool;  (** enable the request-span recorder *)
+  shadow : bool;  (** attach a shadow checker unless [?shadow] says *)
+  record : (int * (Recorder.t -> unit)) option;
+      (** enable the flight recorder, sampling every [n] cycles, and
+          hand it to the callback *)
+  cpus : int;  (** CPU count for boots that omit [?cpus] *)
+}
+
+val no_instruments : instruments
+(** Every instrument off, one CPU. *)
+
+val instruments : unit -> instruments option
+(** The current default; [None] when disarmed (the initial state). *)
+
+val with_instruments : instruments option -> (unit -> 'a) -> 'a
+(** [with_instruments d f] runs [f] with [d] as the default and an empty
+    booted list, then restores the caller's default and booted list,
+    also on an exception. *)
+
+val drain_booted : unit -> t list
+(** Kernels booted while the default was armed, since the last drain,
+    in boot order. *)
 
 (** {1 Accessors} *)
 
@@ -75,34 +92,30 @@ val perf : t -> Perf.t
 
 val trace : t -> Trace.t
 (** The event trace attached to this kernel's memory system — shorthand
-    for [Memsys.trace (memsys t)]. *)
+    for [Memsys.trace (memsys t)].  {!boot} enables it when the armed
+    default's [trace] is set. *)
 
 val profile : t -> Profile.t
 (** The attribution profiler attached to this kernel's memory system —
     shorthand for [Memsys.profile (memsys t)].  Its TLB slot census
-    classifies entries with {!Vsid_alloc.is_kernel}; like Trace, a
-    profiler created while {!Ppc.Profile.set_boot_defaults} has armed
-    process-wide profiling starts enabled and registered for the driver
-    to drain. *)
+    classifies entries with {!Vsid_alloc.is_kernel}.  {!boot} enables it
+    when the armed default's [profile] is set. *)
 
 val span : t -> Span.t
 (** The request-span recorder attached to this kernel's memory system —
     shorthand for [Memsys.span (memsys t)].  The kernel reports syscall
     entry/exit windows, context switches and run slices into it; the
     workload drives the request lifecycle ({!Ppc.Span.request_begin},
-    {!Ppc.Span.bind_pid}, {!Ppc.Span.request_end}).  Like Trace and
-    Profile, a recorder created while {!Ppc.Span.set_boot_defaults} has
-    armed process-wide spans starts enabled and registered for the
-    driver to drain. *)
+    {!Ppc.Span.bind_pid}, {!Ppc.Span.request_end}).  {!boot} enables it
+    when the armed default's [spans] is set. *)
 
 val recorder : t -> Recorder.t
 (** The flight recorder attached to this kernel's memory system —
     shorthand for [Memsys.recorder (memsys t)].  Gauge sources (htab,
     TLB census, per-CPU miss slices, run queues, span percentiles) are
-    installed by their owning subsystems at boot; like Trace and
-    Profile, a recorder created while {!Ppc.Recorder.set_boot_defaults}
-    has armed process-wide recording starts enabled and registered for
-    the driver to drain. *)
+    installed by their owning subsystems at boot.  {!boot} enables it,
+    and hands it to the attach callback, when the armed default's
+    [record] is set. *)
 
 val age_address_spaces : t -> contexts:int -> unit
 (** Advance the VSID context counter as if [contexts] address spaces had

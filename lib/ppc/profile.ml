@@ -78,7 +78,7 @@ type t = {
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let create_plain () =
+let create () =
   { enabled = false;
     attribution = Hashtbl.create 64;
     hot_pages = Array.init n_kinds (fun _ -> Hashtbl.create 64);
@@ -94,30 +94,6 @@ let enable t = t.enabled <- true
 let disable t = t.enabled <- false
 
 let enabled t = t.enabled
-
-(* --- process-wide boot defaults -------------------------------------- *)
-
-(* Drivers that cannot reach the kernels being booted (the experiment
-   registry boots its own) arm these; every profiler created afterwards
-   starts enabled and registers itself for later collection — the same
-   discipline as Trace and Shadow. *)
-let boot_enabled = ref false
-let registered_rev : t list ref = ref []
-
-let set_boot_defaults ~enabled () = boot_enabled := enabled
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l
-
-let create () =
-  let t = create_plain () in
-  if !boot_enabled then begin
-    enable t;
-    registered_rev := t :: !registered_rev
-  end;
-  t
 
 (* --- hooks wired by the MMU ------------------------------------------- *)
 

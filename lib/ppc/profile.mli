@@ -60,9 +60,9 @@ type census = {
 type t
 
 val create : unit -> t
-(** A disabled profiler — unless {!set_boot_defaults} armed
-    process-wide profiling, in which case it starts enabled and is
-    registered for {!drain_registered}. *)
+(** A disabled profiler.  [Kernel.boot] enables the profiler of a
+    kernel booted while the process-wide [Kernel] instruments default
+    asks for profiling. *)
 
 val enable : t -> unit
 (** Start attributing. *)
@@ -71,16 +71,6 @@ val disable : t -> unit
 (** Stop attributing; accumulated data stays readable. *)
 
 val enabled : t -> bool
-
-(** {1 Boot defaults}
-
-    For drivers that cannot reach the kernels being booted (the
-    experiment registry boots its own): arm profiling process-wide,
-    run, then collect every profiler created in between — the same
-    discipline as {!Trace} and {!Shadow}. *)
-
-val set_boot_defaults : enabled:bool -> unit -> unit
-val drain_registered : unit -> t list
 
 (** {1 Hooks wired by the MMU} *)
 

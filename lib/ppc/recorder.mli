@@ -52,9 +52,10 @@ val default_cap : int
 (** {1 Lifecycle} *)
 
 val create : perf:Perf.t -> t
-(** Disabled unless {!set_boot_defaults} armed recording process-wide,
-    in which case the new recorder starts enabled, registers itself for
-    {!drain_registered}, and is passed to the {!set_boot_attach} hook. *)
+(** A disabled recorder.  [Kernel.boot] enables the recorder of a
+    kernel booted while the process-wide [Kernel] instruments default
+    asks for recording, and passes it to that default's attach
+    callback. *)
 
 val enable : ?every:int -> ?cap:int -> t -> unit
 (** Start sampling every [every] simulated cycles, retaining at most
@@ -117,22 +118,3 @@ val sample : t -> int -> sample
 
 val samples : t -> sample list
 val iter : t -> (sample -> unit) -> unit
-
-(** {1 Process-wide boot defaults}
-
-    The Trace/Profile/Span/Shadow registry discipline, for drivers that
-    cannot reach the kernels being booted (the experiment registry boots
-    its own).  Forked workers inherit the armed globals, so recording
-    works under the supervised parallel Runner. *)
-
-val set_boot_defaults : ?every:int -> ?cap:int -> enabled:bool -> unit -> unit
-val boot_enabled : unit -> bool
-
-val set_boot_attach : (t -> unit) option -> unit
-(** Hook run on every boot-armed recorder at creation: how the Flight
-    streaming/detector layer (which lives above Ppc) attaches its
-    [on_sample] consumers without Ppc depending on it. *)
-
-val drain_registered : unit -> t list
-(** Boot-armed recorders created since the last drain, in creation
-    order. *)

@@ -103,7 +103,7 @@ type t = {
 
 let default_ring = 65536
 
-let create_plain ~perf =
+let create ~perf =
   { perf;
     enabled = false;
     r_kind = [||];
@@ -118,14 +118,6 @@ let create_plain ~perf =
     hist_tlb_service = Hist.create ();
     hist_ctxsw = Hist.create () }
 
-(* --- process-wide boot defaults ------------------------------------- *)
-
-(* Drivers that cannot reach the kernels being booted (the experiment
-   registry boots its own) set these; every trace created afterwards
-   starts enabled and registers itself for later collection. *)
-let boot_defaults : int option ref = ref None
-let registered_rev : t list ref = ref []
-
 let enable ?(ring = default_ring) t =
   let ring = max 1 ring in
   t.r_kind <- Array.make ring 0;
@@ -137,23 +129,6 @@ let enable ?(ring = default_ring) t =
   t.enabled <- true
 
 let disable t = t.enabled <- false
-
-let set_boot_defaults ?(ring = default_ring) ~enabled () =
-  boot_defaults := (if enabled then Some ring else None)
-
-let drain_registered () =
-  let l = List.rev !registered_rev in
-  registered_rev := [];
-  l
-
-let create ~perf =
-  let t = create_plain ~perf in
-  (match !boot_defaults with
-  | None -> ()
-  | Some ring ->
-      enable ~ring t;
-      registered_rev := t :: !registered_rev);
-  t
 
 (* --- emission --------------------------------------------------------- *)
 

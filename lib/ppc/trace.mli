@@ -61,9 +61,9 @@ type event = {
 type t
 
 val create : perf:Perf.t -> t
-(** A disabled trace stamping events from [perf]'s cycle counter — unless
-    {!set_boot_defaults} armed process-wide tracing, in which case the
-    trace starts enabled and is registered for {!drain_registered}. *)
+(** A disabled trace stamping events from [perf]'s cycle counter.
+    [Kernel.boot] enables the trace of a kernel booted while the
+    process-wide [Kernel] instruments default asks for tracing. *)
 
 val enable : ?ring:int -> t -> unit
 (** Allocate the ring ([ring] events, default 65536; oldest events are
@@ -73,20 +73,6 @@ val disable : t -> unit
 (** Stop recording; retained events stay readable. *)
 
 val enabled : t -> bool
-
-(** {1 Boot defaults}
-
-    For drivers that cannot reach the kernels being booted (the
-    experiment registry boots its own): arm tracing process-wide, run,
-    then collect every trace created in between. *)
-
-val set_boot_defaults : ?ring:int -> enabled:bool -> unit -> unit
-(** Arm ([enabled:true]) or disarm process-wide tracing for traces
-    created afterwards. *)
-
-val drain_registered : unit -> t list
-(** Traces created-enabled via boot defaults since the last drain, in
-    creation order. *)
 
 (** {1 Emission} — all no-ops unless {!enabled} *)
 

@@ -345,9 +345,45 @@ let test_observed_run_jobs_invariant () =
   Alcotest.(check bool) "translations were cross-checked" true (checks > 0);
   Alcotest.(check (pair int int)) "jobs=2 shadow totals equal jobs=1"
     (checks, divergences) (totals par);
-  Alcotest.(check bool) "instruments disarmed afterwards" true
-    (Kernel_sim.Kernel.boot_cpus () = 1
-    && not (Ppc.Shadow.boot_enabled ()))
+  Alcotest.(check bool) "caller's (disarmed) default is back" true
+    (Option.is_none (Kernel_sim.Kernel.instruments ()))
+
+let test_observed_run_restores_armed_default () =
+  (* a caller that armed its own default keeps it — and the kernels it
+     booted under it — across an observed run, at any job count; the
+     run's experiments see the spec, not the caller's default *)
+  let module Kernel = Kernel_sim.Kernel in
+  let mine = { Kernel.no_instruments with profile = true; cpus = 2 } in
+  Kernel.with_instruments (Some mine) (fun () ->
+      let own =
+        Kernel.boot ~machine:Ppc.Machine.ppc604_185
+          ~policy:Kernel_sim.Policy.optimized ()
+      in
+      List.iter
+        (fun jobs ->
+          let tag = Printf.sprintf "jobs=%d: " jobs in
+          (match
+             Observe.run ~jobs ~seed:42
+               { Observe.nothing with trace = true }
+               (registry_jobs [ "D1" ])
+           with
+          | [ { Observe.outcome = Runner.Done _; observability = Some obs; _ } ]
+            ->
+              Alcotest.(check bool) (tag ^ "spec's trace armed") true
+                (Json.member "events" obs <> None);
+              Alcotest.(check bool) (tag ^ "caller's profile not armed") true
+                (Json.member "profile" obs = None);
+              Alcotest.(check (option int)) (tag ^ "spec's cpus") (Some 1)
+                (Option.bind (Json.member "smp" obs) (fun s ->
+                     Option.bind (Json.member "cpus" s) Json.to_int_opt))
+          | _ -> Alcotest.fail (tag ^ "one observed D1 expected"));
+          Alcotest.(check bool) (tag ^ "caller's default is back") true
+            (match Kernel.instruments () with
+            | Some i -> i == mine
+            | None -> false))
+        [ 1; 2 ];
+      Alcotest.(check bool) "caller's booted kernel survives" true
+        (match Kernel.drain_booted () with [ k ] -> k == own | _ -> false))
 
 let test_observed_run_restores_requests () =
   (* the request count rides the spec like every other boot default:
@@ -564,6 +600,8 @@ let suite =
       test_observed_run_restores_requests;
     Alcotest.test_case "observed run jobs-invariant" `Quick
       test_observed_run_jobs_invariant;
+    Alcotest.test_case "observed run restores an armed default" `Quick
+      test_observed_run_restores_armed_default;
     Alcotest.test_case "runner real experiment (E13)" `Slow
       test_runner_real_experiment;
     Alcotest.test_case "runner worker death retried" `Quick

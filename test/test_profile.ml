@@ -75,21 +75,18 @@ let test_experiment_table_identical_under_boot_defaults () =
      when the CLI arms process-wide profiling *)
   let d1 = Option.get (Experiments.find "D1") in
   let plain = d1.Experiments.run ~seed:42 () in
-  Profile.set_boot_defaults ~enabled:true ();
-  Recorder.set_boot_defaults ~every:50_000 ~enabled:true ();
+  let armed =
+    { Kernel.no_instruments with
+      profile = true;
+      record = Some (50_000, ignore) }
+  in
   let profiled, profilers =
-    Fun.protect
-      ~finally:(fun () ->
-        Profile.set_boot_defaults ~enabled:false ();
-        Recorder.set_boot_defaults ~enabled:false ();
-        ignore (Profile.drain_registered () : Profile.t list);
-        ignore (Recorder.drain_registered () : Recorder.t list))
-      (fun () ->
+    Kernel.with_instruments (Some armed) (fun () ->
         let t = d1.Experiments.run ~seed:42 () in
-        (t, Profile.drain_registered ()))
+        (t, List.map Kernel.profile (Kernel.drain_booted ())))
   in
   Alcotest.(check bool) "table identical" true (plain = profiled);
-  Alcotest.(check bool) "profilers were registered and armed" true
+  Alcotest.(check bool) "booted kernels' profilers were armed" true
     (profilers <> []
     && List.exists (fun pr -> Profile.total_misses pr > 0) profilers)
 
@@ -292,27 +289,28 @@ let test_explain_attribution_join () =
   Alcotest.(check (list string)) "unknown id yields nothing" []
     (Explain.attribution_lines doc ~id:"E2")
 
-(* --- boot-defaults registry -------------------------------------------- *)
+(* --- the instruments default --------------------------------------------- *)
 
 let test_boot_defaults_registry () =
-  Alcotest.(check int) "registry empty" 0
-    (List.length (Profile.drain_registered ()));
-  let mk () = Profile.create () in
-  Alcotest.(check bool) "disabled by default" false (Profile.enabled (mk ()));
-  Profile.set_boot_defaults ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () ->
-      Profile.set_boot_defaults ~enabled:false ();
-      ignore (Profile.drain_registered () : Profile.t list))
+  let mk () =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:7 ()
+  in
+  Alcotest.(check bool) "nothing armed" true
+    (Option.is_none (Kernel.instruments ()));
+  Alcotest.(check bool) "disabled by default" false
+    (Profile.enabled (Kernel.profile (mk ())));
+  Kernel.with_instruments
+    (Some { Kernel.no_instruments with profile = true })
     (fun () ->
-      let pr = mk () in
-      Alcotest.(check bool) "armed creation enables" true
-        (Profile.enabled pr);
-      Alcotest.(check int) "armed creation registers" 1
-        (List.length (Profile.drain_registered ())));
-  Alcotest.(check bool) "disarmed again" false (Profile.enabled (mk ()));
-  Alcotest.(check int) "drained" 0
-    (List.length (Profile.drain_registered ()))
+      let k = mk () in
+      Alcotest.(check bool) "armed boot enables" true
+        (Profile.enabled (Kernel.profile k));
+      Alcotest.(check bool) "armed boot lists the kernel" true
+        (match Kernel.drain_booted () with [ k' ] -> k' == k | _ -> false));
+  Alcotest.(check bool) "disarmed again" false
+    (Profile.enabled (Kernel.profile (mk ())));
+  Alcotest.(check int) "unarmed boots are not listed" 0
+    (List.length (Kernel.drain_booted ()))
 
 let suite =
   [ Alcotest.test_case "profiling is free (kernel)" `Quick

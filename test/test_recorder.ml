@@ -2,9 +2,9 @@
    sampler: one-int-compare disabled cost, fixed-cadence sampling driven
    by the charge path's deadline, deterministic decimation under the
    retention cap that never coarsens the stream, in-place gauge
-   replacement, the streaming hook, the boot-defaults registry — and the
-   free-ness contract (an armed run's counters and tables are
-   byte-identical to a bare run at the same seed). *)
+   replacement, the streaming hook, arming from the [Kernel] instruments
+   default — and the free-ness contract (an armed run's counters and
+   tables are byte-identical to a bare run at the same seed). *)
 open Ppc
 module Experiments = Mmu_tricks.Experiments
 
@@ -208,18 +208,29 @@ let test_armed_reload_counters_unchanged () =
 (* --- boot registry ----------------------------------------------------- *)
 
 let test_boot_registry () =
-  ignore (Recorder.drain_registered ());
+  let module Kernel = Kernel_sim.Kernel in
   let attached = ref [] in
-  Recorder.set_boot_attach
-    (Some (fun r -> attached := Recorder.run_id r :: !attached));
-  Recorder.set_boot_defaults ~every:77 ~cap:16 ~enabled:true ();
-  Alcotest.(check bool) "armed" true (Recorder.boot_enabled ());
-  let _, r1 = mk () in
-  let _, r2 = mk () in
-  Recorder.set_boot_defaults ~enabled:false ();
-  Recorder.set_boot_attach None;
-  Alcotest.(check bool) "disarmed" false (Recorder.boot_enabled ());
-  let _, r3 = mk () in
+  let armed =
+    { Kernel.no_instruments with
+      record = Some (77, fun r -> attached := Recorder.run_id r :: !attached)
+    }
+  in
+  let boot () =
+    Kernel.boot ~machine:Machine.ppc604_185
+      ~policy:Kernel_sim.Policy.optimized ~seed:7 ()
+  in
+  let r1, r2, drained, again =
+    Kernel.with_instruments (Some armed) (fun () ->
+        Alcotest.(check bool) "armed" true
+          (Option.is_some (Kernel.instruments ()));
+        let r1 = Kernel.recorder (boot ()) in
+        let r2 = Kernel.recorder (boot ()) in
+        let drained = Kernel.drain_booted () in
+        (r1, r2, drained, Kernel.drain_booted ()))
+  in
+  Alcotest.(check bool) "disarmed" true
+    (Option.is_none (Kernel.instruments ()));
+  let r3 = Kernel.recorder (boot ()) in
   Alcotest.(check bool) "boot-armed recorders start enabled" true
     (Recorder.enabled r1 && Recorder.enabled r2);
   Alcotest.(check int) "boot cadence applied" 77 (Recorder.every r1);
@@ -228,12 +239,11 @@ let test_boot_registry () =
   Alcotest.(check (list int)) "attach hook saw both, in creation order"
     [ Recorder.run_id r1; Recorder.run_id r2 ]
     (List.rev !attached);
-  let drained = Recorder.drain_registered () in
-  Alcotest.(check (list int)) "registry drains both, in creation order"
+  let run_ids = List.map (fun k -> Recorder.run_id (Kernel.recorder k)) in
+  Alcotest.(check (list int)) "booted list drains both, in boot order"
     [ Recorder.run_id r1; Recorder.run_id r2 ]
-    (List.map Recorder.run_id drained);
-  Alcotest.(check (list int)) "drain empties the registry" []
-    (List.map Recorder.run_id (Recorder.drain_registered ()))
+    (run_ids drained);
+  Alcotest.(check (list int)) "drain empties the list" [] (run_ids again)
 
 let test_run_ids_unique () =
   let _, a = mk () in
@@ -249,10 +259,14 @@ let test_recording_is_free () =
      RNG *)
   let run () = (Option.get (Experiments.find "E13")).Experiments.run ~seed:7 () in
   let bare = run () in
-  Recorder.set_boot_defaults ~every:50_000 ~cap:64 ~enabled:true ();
-  let recorded = run () in
-  let drained = Recorder.drain_registered () in
-  Recorder.set_boot_defaults ~enabled:false ();
+  let module Kernel = Kernel_sim.Kernel in
+  let recorded, drained =
+    Kernel.with_instruments
+      (Some { Kernel.no_instruments with record = Some (50_000, ignore) })
+      (fun () ->
+        let t = run () in
+        (t, List.map Kernel.recorder (Kernel.drain_booted ())))
+  in
   Alcotest.(check bool) "tables byte-identical under recording" true
     (bare = recorded);
   Alcotest.(check bool) "and the run really was recorded" true

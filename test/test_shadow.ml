@@ -282,24 +282,28 @@ let test_agree_semantics () =
          answered = Shadow.Page_table })
 
 let test_boot_defaults_registry () =
-  Shadow.set_boot_defaults ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () ->
-      Shadow.set_boot_defaults ~enabled:false ();
-      ignore (Shadow.drain_registered () : Shadow.t list))
+  let boot ?shadow () =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~seed:7
+      ?shadow ()
+  in
+  Kernel.with_instruments
+    (Some { Kernel.no_instruments with shadow = true })
     (fun () ->
-      Alcotest.(check bool) "default armed" true (Shadow.boot_enabled ());
-      let k =
-        Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized
-          ~seed:7 ()
-      in
+      Alcotest.(check bool) "default armed" true
+        (Option.is_some (Kernel.instruments ()));
+      let k = boot () in
       Alcotest.(check bool) "kernel picked up the default" true
         (Kernel.shadow k <> None);
-      let drained = Shadow.drain_registered () in
-      Alcotest.(check int) "checker registered for the driver" 1
+      Alcotest.(check bool) "explicit ~shadow:false wins" true
+        (Kernel.shadow (boot ~shadow:false ()) = None);
+      let drained = Kernel.drain_booted () in
+      Alcotest.(check int) "both kernels listed for the driver" 2
         (List.length drained);
+      Alcotest.(check bool) "in boot order" true (List.hd drained == k);
       Alcotest.(check int) "drain empties the list" 0
-        (List.length (Shadow.drain_registered ())))
+        (List.length (Kernel.drain_booted ())));
+  Alcotest.(check bool) "disarmed afterwards" true
+    (Option.is_none (Kernel.instruments ()) && Kernel.shadow (boot ()) = None)
 
 let suite =
   [ Alcotest.test_case "clean run, all backends" `Quick

@@ -232,6 +232,23 @@ let test_kernel_level_wrap () =
       Alcotest.(check int) "shadow clean across the wrap" 0
         (Shadow.total_divergences s))
 
+(* Nothing retains a kernel booted while no instruments default is
+   armed, whatever its CPU count: a long-lived process that boots SMP
+   kernels must not grow without bound. *)
+let[@inline never] boot_weakly w =
+  let k =
+    Kernel.boot ~machine:Machine.ppc604_185 ~policy:Policy.optimized ~cpus:2 ()
+  in
+  Weak.set w 0 (Some k)
+
+let test_unarmed_smp_boot_collected () =
+  Alcotest.(check bool) "no default armed" true
+    (Option.is_none (Kernel.instruments ()));
+  let w = Weak.create 1 in
+  boot_weakly w;
+  Gc.full_major ();
+  Alcotest.(check bool) "SMP kernel collected" false (Weak.check w 0)
+
 let suite =
   [ Alcotest.test_case "cpus:1 boot is byte-identical" `Quick
       test_cpus1_identical;
@@ -245,4 +262,6 @@ let suite =
     Alcotest.test_case "lazy reset defers shootdowns" `Quick
       test_lazy_reset_defers;
     Alcotest.test_case "kernel-level VSID wrap" `Quick
-      test_kernel_level_wrap ]
+      test_kernel_level_wrap;
+    Alcotest.test_case "unarmed SMP boot is collected" `Quick
+      test_unarmed_smp_boot_collected ]

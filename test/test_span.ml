@@ -4,6 +4,7 @@
    costs deterministically, and SLO verdicts gate on the exported
    document. *)
 open Ppc
+module Kernel = Kernel_sim.Kernel
 module Policy = Kernel_sim.Policy
 module Server = Workloads.Server
 module Experiments = Mmu_tricks.Experiments
@@ -156,11 +157,9 @@ let test_spans_are_free () =
   List.iter
     (fun model ->
       let run armed =
-        if armed then Span.set_boot_defaults ~enabled:true ();
-        Fun.protect
-          ~finally:(fun () ->
-            Span.set_boot_defaults ~enabled:false ();
-            ignore (Span.drain_registered () : Span.t list))
+        Kernel.with_instruments
+          (if armed then Some { Kernel.no_instruments with spans = true }
+           else None)
           (fun () ->
             let r =
               Server.measure ~machine:Machine.ppc604_185
@@ -181,15 +180,12 @@ let test_server_table_identical_under_boot_defaults () =
      afterwards actually saw the requests. *)
   let e18 = Option.get (Experiments.find "E18") in
   let plain = e18.Experiments.run ~seed:42 () in
-  Span.set_boot_defaults ~enabled:true ();
   let spanned, recorders =
-    Fun.protect
-      ~finally:(fun () ->
-        Span.set_boot_defaults ~enabled:false ();
-        ignore (Span.drain_registered () : Span.t list))
+    Kernel.with_instruments
+      (Some { Kernel.no_instruments with spans = true })
       (fun () ->
         let t = e18.Experiments.run ~seed:42 () in
-        (t, Span.drain_registered ()))
+        (t, List.map Kernel.span (Kernel.drain_booted ())))
   in
   Alcotest.(check bool) "table identical" true (plain = spanned);
   let interesting = List.filter Span_export.interesting recorders in
@@ -206,9 +202,8 @@ let test_server_table_identical_under_boot_defaults () =
 let spans_fixture () =
   (* One small armed server run, exported the way `experiment --spans`
      embeds it. *)
-  Span.set_boot_defaults ~enabled:true ();
-  Fun.protect
-    ~finally:(fun () -> Span.set_boot_defaults ~enabled:false ())
+  Kernel.with_instruments
+    (Some { Kernel.no_instruments with spans = true })
     (fun () ->
       ignore
         (Server.measure ~machine:Machine.ppc604_185
@@ -216,7 +211,8 @@ let spans_fixture () =
            ~seed:42 ~label:"optimized" ()
           : Server.result);
       Span_export.to_json
-        (List.filter Span_export.interesting (Span.drain_registered ())))
+        (List.filter Span_export.interesting
+           (List.map Kernel.span (Kernel.drain_booted ()))))
 
 let objective ?(cls = "overall") ?(metric = Slo.P99) ~budget () =
   { Slo.s_experiment = "E18"; s_config = "optimized"; s_class = cls;

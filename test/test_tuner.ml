@@ -220,6 +220,50 @@ let test_tune_drops_failing_candidate () =
   Alcotest.(check string) "winner still found" "vsid_multiplier=64"
     result.Tuner.r_winner.Tuner.e_cand.Tuner.c_label
 
+(* --- explaining a winner ---------------------------------------------- *)
+
+(* The synthetic shape again, but booting a small kernel so the
+   profiler armed by [explain] has misses to attribute. *)
+let booting_workload =
+  { Tuner.w_name = "synthetic-boot";
+    w_eval =
+      (fun ~policy ~seed ->
+        let module Kernel = Kernel_sim.Kernel in
+        let k = Kernel.boot ~machine:Ppc.Machine.ppc604_185 ~policy ~seed () in
+        let text_pages = 8 and data_pages = 32 and stack_pages = 4 in
+        let data_base =
+          Kernel_sim.Mm.user_text_base + (text_pages lsl Ppc.Addr.page_shift)
+        in
+        Kernel.switch_to k
+          (Kernel.spawn k ~text_pages ~data_pages ~stack_pages ());
+        for i = 0 to data_pages - 1 do
+          Kernel.touch k Ppc.Mmu.Store
+            (data_base + (i lsl Ppc.Addr.page_shift))
+        done;
+        [ { Tuner.m_name = "cycles";
+            m_value = float_of_int (Kernel.cycles k);
+            m_unit = "cycles" } ]) }
+
+let test_explain_attributes () =
+  let module Kernel = Kernel_sim.Kernel in
+  let reports =
+    Tuner.explain ~top:3 ~seed:7 ~workloads:[ booting_workload ]
+      ~base:(Tuner.base_candidate Kpolicy.baseline)
+      ~candidate:(Tuner.base_candidate ~label:"optimized" Kpolicy.optimized)
+      ()
+  in
+  let has_attribution r =
+    List.exists
+      (String.starts_with ~prefix:"    attribution: ")
+      (String.split_on_char '\n' r)
+  in
+  Alcotest.(check bool) "reports name attribution accounts" true
+    (List.exists has_attribution reports);
+  Alcotest.(check bool) "no default armed afterwards" true
+    (Option.is_none (Kernel.instruments ()));
+  Alcotest.(check int) "no kernel left in the list" 0
+    (List.length (Kernel.drain_booted ()))
+
 let suite =
   [ Alcotest.test_case "labels and assignments" `Quick test_labels;
     Alcotest.test_case "grid enumeration" `Quick test_grid;
@@ -236,4 +280,6 @@ let suite =
       test_tune_doc_jobs_identical;
     Alcotest.test_case "tune doc shape" `Quick test_tune_doc_shape;
     Alcotest.test_case "tune drops failing candidates" `Quick
-      test_tune_drops_failing_candidate ]
+      test_tune_drops_failing_candidate;
+    Alcotest.test_case "explain attributes the deltas" `Quick
+      test_explain_attributes ]
