@@ -312,40 +312,74 @@ let kaccess t kind ea =
   if Mmu.access_pa t.k_mmu kind ea < 0 then raise (Kernel_fault ea)
 
 (* Run a kernel code path: [instrs] cycles of instructions with one
-   I-fetch per 8 instructions from the path's text region, plus the given
-   kernel data references.  Long paths loop (register save/restore,
-   copy loops), so their static text footprint is bounded: fetches cycle
-   within at most [max_path_lines] distinct lines. *)
+   I-fetch per 8 instructions from the path's text region; the caller
+   makes the path's kernel data references right after.  Long paths loop
+   (register save/restore, copy loops), so their static text footprint
+   is bounded: fetches cycle within at most [max_path_lines] distinct
+   lines. *)
 let max_path_lines = 48 (* 1.5 KB of text per kernel path *)
 
-let run_path t ~off ~instrs ~data =
+let fetch_lines t code_ea ~distinct ~from ~upto =
+  for i = from to upto - 1 do
+    kaccess t Mmu.Fetch (code_ea + (i mod distinct * Addr.line_size))
+  done
+
+(* Replay: once two passes over the [d] distinct lines have run and the
+   second one hit throughout (no I-cache or ITLB miss, no htab search),
+   every line and page is resident and nothing else runs until the path
+   ends, so every later fetch hits too.  The middle [lines - 3d] fetches
+   are then charged in one step, and the last [d] run for real so every
+   LRU stamp ends where the loop leaves it.  An armed per-access
+   observer ([Mmu.observed]) keeps the loop. *)
+let run_path t ~off ~instrs =
   let code_ea = Kparams.kernel_virt_of_phys (Kparams.text_pa + off) in
   Memsys.instructions t.k_memsys instrs;
   let lines = max 1 (instrs / 8) in
-  let distinct = min lines max_path_lines in
-  for i = 0 to lines - 1 do
-    kaccess t Mmu.Fetch (code_ea + (i mod distinct * Addr.line_size))
-  done;
-  List.iter
-    (fun (write, ea) ->
-      kaccess t (if write then Mmu.Store else Mmu.Load) ea)
-    data
+  let d = min lines max_path_lines in
+  if lines < 3 * d || Mmu.observed t.k_mmu then
+    fetch_lines t code_ea ~distinct:d ~from:0 ~upto:lines
+  else begin
+    let p = t.k_perf in
+    fetch_lines t code_ea ~distinct:d ~from:0 ~upto:d;
+    let icache_misses = p.Perf.icache_misses
+    and itlb_misses = p.Perf.itlb_misses
+    and htab_searches = p.Perf.htab_searches
+    and itlb_lookups = p.Perf.itlb_lookups in
+    fetch_lines t code_ea ~distinct:d ~from:d ~upto:(2 * d);
+    let looked_up = p.Perf.itlb_lookups - itlb_lookups in
+    if
+      p.Perf.icache_misses = icache_misses
+      && p.Perf.itlb_misses = itlb_misses
+      && p.Perf.htab_searches = htab_searches
+      && (looked_up = 0 || looked_up = d)
+    then begin
+      Mmu.replay_fetch_hits t.k_mmu
+        ~n:(lines - (3 * d))
+        ~via_tlb:(looked_up = d);
+      fetch_lines t code_ea ~distinct:d ~from:(lines - d) ~upto:lines
+    end
+    else fetch_lines t code_ea ~distinct:d ~from:(2 * d) ~upto:lines
+  end
 
+(* The run-queue head and the current task's task_struct and kernel
+   stack: what every entry path touches. *)
 let current_task_refs t =
+  kaccess t Mmu.Load Kparams.runqueue_ea;
   match t.k_currents.(t.k_cpu) with
-  | None -> [ (false, Kparams.runqueue_ea) ]
+  | None -> ()
   | Some task ->
-      [ (false, Kparams.runqueue_ea);
-        (false, Task.task_struct_ea task);
-        (true, Task.kstack_ea task) ]
+      kaccess t Mmu.Load (Task.task_struct_ea task);
+      kaccess t Mmu.Store (Task.kstack_ea task)
 
 (* Stack save/restore traffic of the original C entry paths. *)
 let stack_refs t n =
   match t.k_currents.(t.k_cpu) with
-  | None -> []
+  | None -> ()
   | Some task ->
-      List.init n (fun i ->
-          (true, Task.kstack_ea task + (i * Addr.line_size mod 1024)))
+      let kstack = Task.kstack_ea task in
+      for i = 0 to n - 1 do
+        kaccess t Mmu.Store (kstack + (i * Addr.line_size mod 1024))
+      done
 
 (* set once timer_tick is defined below; syscall entry is where the
    kernel notices a pending tick *)
@@ -361,11 +395,9 @@ let syscall_entry t =
   let instrs =
     if fast then Kparams.syscall_fast else Kparams.syscall_slow
   in
-  let extra =
-    if fast then [] else stack_refs t Kparams.syscall_slow_stack_refs
-  in
-  run_path t ~off:Kparams.off_syscall ~instrs
-    ~data:(current_task_refs t @ extra)
+  run_path t ~off:Kparams.off_syscall ~instrs;
+  current_task_refs t;
+  if not fast then stack_refs t Kparams.syscall_slow_stack_refs
 
 (* The matching syscall return, called at the end of every [sys_*] body:
    closes the current request's syscall window. *)
@@ -519,19 +551,16 @@ let switch_to t task =
   t.k_perf.Perf.context_switches <- t.k_perf.Perf.context_switches + 1;
   let fast = t.k_policy.Policy.fast_paths in
   let instrs = if fast then Kparams.switch_fast else Kparams.switch_slow in
-  let extra =
-    if fast then [] else stack_refs t Kparams.switch_slow_stack_refs
-  in
-  let data =
-    (false, Kparams.runqueue_ea)
-    :: (false, Task.task_struct_ea task)
-    :: (true, Task.kstack_ea task)
-    :: ((match t.k_currents.(t.k_cpu) with
-        | Some old -> [ (true, Task.task_struct_ea old) ]
-        | None -> [])
-       @ extra)
-  in
-  run_path t ~off:Kparams.off_sched ~instrs ~data;
+  run_path t ~off:Kparams.off_sched ~instrs;
+  kaccess t Mmu.Load Kparams.runqueue_ea;
+  kaccess t Mmu.Load (Task.task_struct_ea task);
+  kaccess t Mmu.Store (Task.kstack_ea task);
+  (* the outgoing task: its task_struct is written back, and the slow
+     path saves its registers on its kernel stack *)
+  (match t.k_currents.(t.k_cpu) with
+  | Some old -> kaccess t Mmu.Store (Task.task_struct_ea old)
+  | None -> ());
+  if not fast then stack_refs t Kparams.switch_slow_stack_refs;
   load_user_segments t task.Task.mm;
   (* §5.1's proposal: the frame-buffer BAT belongs to the process and is
      switched with it. *)
@@ -590,8 +619,8 @@ let sys_map_framebuffer t ~pages =
   let task = require_current t in
   let mm = task.Task.mm in
   run_path t ~off:Kparams.off_mm
-    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
-    ~data:(current_task_refs t);
+    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page));
+  current_task_refs t;
   let ea = Mm.framebuffer_base in
   Mm.add_vma mm
     { Mm.va_start = ea; va_pages = pages; va_writable = true;
@@ -607,11 +636,9 @@ let timer_tick t =
   t.next_tick <- t.k_perf.Perf.cycles + Kparams.timer_tick_cycles;
   let fast = t.k_policy.Policy.fast_paths in
   let instrs = if fast then Kparams.tick_fast else Kparams.tick_slow in
-  let extra =
-    if fast then [] else stack_refs t Kparams.tick_slow_stack_refs
-  in
-  run_path t ~off:Kparams.off_sched ~instrs
-    ~data:(current_task_refs t @ extra);
+  run_path t ~off:Kparams.off_sched ~instrs;
+  current_task_refs t;
+  if not fast then stack_refs t Kparams.tick_slow_stack_refs;
   if t.k_policy.Policy.cache_preload then
     match t.k_currents.(t.k_cpu) with
     | None -> ()
@@ -701,8 +728,8 @@ let handle_user_fault t kind ea =
   if Trace.enabled tr then
     Trace.emit tr Trace.Page_fault ~a:ea
       ~b:(match kind with Mmu.Fetch -> 0 | Mmu.Load -> 1 | Mmu.Store -> 2);
-  run_path t ~off:Kparams.off_fault ~instrs:Kparams.fault_service
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_fault ~instrs:Kparams.fault_service;
+  current_task_refs t;
   let mm = task.Task.mm in
   match Mm.find_vma mm ea with
   | None -> raise (Segfault ea)
@@ -820,8 +847,8 @@ let sys_mmap t ~pages ~writable =
   let task = require_current t in
   let mm = task.Task.mm in
   run_path t ~off:Kparams.off_mm
-    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
-    ~data:(current_task_refs t);
+    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page));
+  current_task_refs t;
   let ea = Mm.alloc_mmap_range mm ~pages in
   Mm.add_vma mm
     { Mm.va_start = ea; va_pages = pages; va_writable = writable;
@@ -844,8 +871,8 @@ let sys_munmap t ~ea ~pages =
       match vma.Mm.va_backing with
       | Mm.Phys_window _ -> drop_framebuffer t task
       | Mm.Anonymous | Mm.File_pages _ -> ());
-  run_path t ~off:Kparams.off_mm ~instrs:Kparams.munmap_base_cost
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_mm ~instrs:Kparams.munmap_base_cost;
+  current_task_refs t;
   let pt = Mm.pagetable mm in
   for i = 0 to pages - 1 do
     let pea = ea + (i lsl Addr.page_shift) in
@@ -864,8 +891,8 @@ let sys_mmap_file t file ~from_page ~pages ~writable =
   let task = require_current t in
   let mm = task.Task.mm in
   run_path t ~off:Kparams.off_mm
-    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page))
-    ~data:(current_task_refs t);
+    ~instrs:(Kparams.mmap_base_cost + (pages * Kparams.mmap_per_page));
+  current_task_refs t;
   let ea = Mm.alloc_mmap_range mm ~pages in
   Mm.add_vma mm
     { Mm.va_start = ea; va_pages = pages; va_writable = writable;
@@ -884,8 +911,8 @@ let sys_brk t ~pages =
   syscall_entry t;
   let task = require_current t in
   let mm = task.Task.mm in
-  run_path t ~off:Kparams.off_mm ~instrs:Kparams.mmap_base_cost
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_mm ~instrs:Kparams.mmap_base_cost;
+  current_task_refs t;
   let start = data_vma_start mm in
   let grown = Mm.grow_vma mm ~start ~extra_pages:pages in
   let old_end =
@@ -899,8 +926,8 @@ let sys_fork t =
   syscall_entry t;
   let parent = require_current t in
   let pmm = parent.Task.mm in
-  run_path t ~off:Kparams.off_exec ~instrs:Kparams.fork_base
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_exec ~instrs:Kparams.fork_base;
+  current_task_refs t;
   let pid = t.next_pid in
   t.next_pid <- t.next_pid + 1;
   let cmm =
@@ -939,23 +966,21 @@ let sys_fork t =
   syscall_ret t;
   child
 
+(* Frames are freed in descending EA order.  The physical-memory free
+   stack hands them out again in reverse, so this order decides which
+   frames later allocations get, and every committed baseline depends
+   on it. *)
 let release_address_space t mm =
-  let pt = Mm.pagetable mm in
-  let mapped = ref [] in
-  Pagetable.iter pt (fun ea entry -> mapped := (ea, entry) :: !mapped);
-  List.iter
-    (fun (ea, (entry : Pagetable.entry)) ->
-      ignore (Pagetable.unmap pt ~ea : Pagetable.entry option);
+  Pagetable.drain (Mm.pagetable mm) (fun _ea entry ->
       Memsys.instructions t.k_memsys Kparams.munmap_per_mapped_page;
       release_frame t entry)
-    !mapped
 
 let sys_exec t ~text_pages ~data_pages ~stack_pages =
   syscall_entry t;
   let task = require_current t in
   let mm = task.Task.mm in
-  run_path t ~off:Kparams.off_exec ~instrs:Kparams.exec_base
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_exec ~instrs:Kparams.exec_base;
+  current_task_refs t;
   (* The old image's translations must all die: the classic whole-mm
      flush. *)
   drop_framebuffer t task;
@@ -970,8 +995,8 @@ let sys_exec t ~text_pages ~data_pages ~stack_pages =
 let sys_exit t =
   syscall_entry t;
   let task = require_current t in
-  run_path t ~off:Kparams.off_sched ~instrs:Kparams.proc_exit
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_sched ~instrs:Kparams.proc_exit;
+  current_task_refs t;
   let mm = task.Task.mm in
   drop_framebuffer t task;
   if not (lazy_flush_available t) then flush_whole_mm t ~mm;
@@ -1008,8 +1033,8 @@ let copy_user_kernel t ~user ~kernel ~bytes ~to_kernel =
 
 let sys_pipe_write t pipe ~buf ~bytes =
   syscall_entry t;
-  run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op;
+  current_task_refs t;
   let n = Pipe.write pipe ~bytes in
   if n > 0 then
     copy_user_kernel t ~user:buf
@@ -1020,8 +1045,8 @@ let sys_pipe_write t pipe ~buf ~bytes =
 
 let sys_pipe_read t pipe ~buf ~bytes =
   syscall_entry t;
-  run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_pipe ~instrs:Kparams.pipe_op;
+  current_task_refs t;
   let n = Pipe.read pipe ~bytes in
   if n > 0 then
     copy_user_kernel t ~user:buf
@@ -1036,8 +1061,8 @@ let sys_pipe_read t pipe ~buf ~bytes =
    what a cold page costs the caller. *)
 let file_read_body t file ~from_page ~pages ~buf ~on_cold =
   syscall_entry t;
-  run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op;
+  current_task_refs t;
   for p = 0 to pages - 1 do
     match Vfs.page_frame t.k_vfs file ~page:(from_page + p) with
     | None -> raise Pagetable.Out_of_frames
@@ -1067,8 +1092,8 @@ let sys_file_read_async t file ~from_page ~pages ~buf =
 
 let sys_file_write t file ~from_page ~pages ~buf =
   syscall_entry t;
-  run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op
-    ~data:(current_task_refs t);
+  run_path t ~off:Kparams.off_vfs ~instrs:Kparams.read_op;
+  current_task_refs t;
   for p = 0 to pages - 1 do
     match Vfs.page_frame t.k_vfs file ~page:(from_page + p) with
     | None -> raise Pagetable.Out_of_frames

@@ -99,21 +99,41 @@ let walk t ~ea =
 
 let mapped_count t = t.mapped
 
+let ea_of i j = (i lsl 22) lor (j lsl Addr.page_shift)
+
+(* Plain loops, so a walk allocates no closure, and pte pages with no
+   live slot are skipped whole: an address space's tree keeps its
+   emptied pages until [destroy], and exit walks it once more after the
+   drain. *)
 let iter t f =
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | None -> ()
-      | Some page ->
-          Array.iteri
-            (fun j entry ->
-              match entry with
-              | None -> ()
-              | Some e ->
-                  let ea = (i lsl 22) lor (j lsl Addr.page_shift) in
-                  f ea e)
-            page.slots)
-    t.pgd
+  for i = 0 to entries_per_table - 1 do
+    match t.pgd.(i) with
+    | Some page when page.live > 0 ->
+        let slots = page.slots in
+        for j = 0 to entries_per_table - 1 do
+          match slots.(j) with
+          | None -> ()
+          | Some e -> f (ea_of i j) e
+        done
+    | Some _ | None -> ()
+  done
+
+let drain t f =
+  for i = entries_per_table - 1 downto 0 do
+    match t.pgd.(i) with
+    | Some page when page.live > 0 ->
+        let slots = page.slots in
+        for j = entries_per_table - 1 downto 0 do
+          match slots.(j) with
+          | None -> ()
+          | Some e ->
+              slots.(j) <- None;
+              page.live <- page.live - 1;
+              t.mapped <- t.mapped - 1;
+              f (ea_of i j) e
+        done
+    | Some _ | None -> ()
+  done
 
 let destroy t ~physmem =
   Array.iteri

@@ -60,7 +60,15 @@ val mapped_count : t -> int
 (** Number of installed translations. *)
 
 val iter : t -> (Addr.ea -> entry -> unit) -> unit
-(** [iter t f] calls [f] on every mapping (page-aligned EA). *)
+(** [iter t f] calls [f] on every mapping (page-aligned EA), in
+    ascending EA order.  PTE pages with no live slot are skipped without
+    a scan. *)
+
+val drain : t -> (Addr.ea -> entry -> unit) -> unit
+(** [drain t f] unmaps every translation in place, in descending EA
+    order, calling [f] on each one right after removing it; afterwards
+    [mapped_count t = 0].  The directory pages stay until {!destroy}.
+    [f] must not map into [t]. *)
 
 val destroy : t -> physmem:Physmem.t -> unit
 (** Free every directory frame.  The mapped data frames themselves are

@@ -107,6 +107,11 @@ let rec fill_scan (tags : int array) (stamps : int array) base w n free lru
 let fill_way t base =
   fill_scan t.tags t.stamps base 0 t.n_ways (-1) max_int 0
 
+(* The two possible miss outcomes, built once: a fill returns one of
+   them instead of boxing a fresh [Miss] on every miss. *)
+let miss_clean = Miss { dirty_writeback = false }
+let miss_dirty = Miss { dirty_writeback = true }
+
 let fill t ~source ~write i line =
   let src = source_index source in
   let dirty_writeback = t.tags.(i) >= 0 && t.dirty.(i) in
@@ -115,7 +120,7 @@ let fill t ~source ~write i line =
   t.dirty.(i) <- write;
   t.stamps.(i) <- t.tick;
   t.allocs.(src) <- t.allocs.(src) + 1;
-  Miss { dirty_writeback }
+  if dirty_writeback then miss_dirty else miss_clean
 
 let access t ~source ~inhibited ~write pa =
   if inhibited then Bypass
@@ -132,6 +137,8 @@ let access t ~source ~inhibited ~write pa =
     else if t.locked then Bypass
     else fill t ~source ~write (base + fill_way t base) line
   end
+
+let replay_hits t n = t.tick <- t.tick + n
 
 let allocate_zero t ~source pa =
   let line = Addr.line_index pa in

@@ -54,6 +54,12 @@ val access : t -> source:source -> inhibited:bool -> write:bool -> Addr.pa -> re
     line containing [pa]: LRU lookup/refresh on hit (marking dirty when
     [write]), allocation on miss, nothing on bypass. *)
 
+val replay_hits : t -> int -> unit
+(** [replay_hits t n] advances the LRU clock as [n] hits would, without
+    stamping any line.  Only sound when every line those hits would
+    touch is accessed again afterwards (re-stamping it from the advanced
+    clock): the kernel-path replay in {!Mmu.replay_fetch_hits}. *)
+
 val allocate_zero : t -> source:source -> Addr.pa -> result
 (** [allocate_zero t ~source pa] is [dcbz]: establish the line zeroed and
     dirty {e without} fetching it from memory.  Returns [Miss] (with any

@@ -128,6 +128,16 @@ let inst_ref t pa =
       p.Perf.icache_misses <- p.Perf.icache_misses + 1;
       charge t t.machine.Machine.mem_latency
 
+(* [n] I-cache hits charged in one step.  Counter-identical to [n]
+   [inst_ref] hits only while the recorder is unarmed (one charge, one
+   sampler check) and only if the lines hit are fetched again afterwards,
+   re-stamping them from the advanced LRU clock. *)
+let replay_inst_hits t n =
+  let p = t.perf in
+  p.Perf.icache_accesses <- p.Perf.icache_accesses + n;
+  Cache.replay_hits t.icache n;
+  charge t (n * Cost.cache_hit_cycles)
+
 let dcbz t ~source pa =
   let p = t.perf in
   p.Perf.dcache_accesses <- p.Perf.dcache_accesses + 1;

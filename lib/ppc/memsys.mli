@@ -59,6 +59,13 @@ val data_ref :
 val inst_ref : t -> Addr.pa -> unit
 (** One instruction fetch reference: drives the I-cache. *)
 
+val replay_inst_hits : t -> int -> unit
+(** [replay_inst_hits t n] charges [n] I-cache hits at once: the access
+    counter, the hit cycles and the LRU clock move as [n] {!inst_ref}
+    hits would, but no line is stamped.  Exact only while {!sampling} is
+    false and when every line concerned is fetched again afterwards; see
+    {!Mmu.replay_fetch_hits}. *)
+
 val dcbz : t -> source:Cache.source -> Addr.pa -> unit
 (** One [dcbz]: allocate-and-zero the line containing the address in the
     D-cache without fetching it from memory.  Costs {!Cost.dcbz_cycles}

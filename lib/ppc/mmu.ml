@@ -616,6 +616,24 @@ let access t kind ea =
   let pa = access_pa t kind ea in
   if pa < 0 then Fault else Ok pa
 
+(* --- replayed fetch hits ---------------------------------------------- *)
+
+(* Something that must see every access one by one: the shadow checker
+   compares each translation, the trace logs each BAT hit, and the
+   recorder samples at exact cycle counts between charges. *)
+let observed t =
+  Option.is_some t.shadow
+  || Trace.enabled (trace t)
+  || Memsys.sampling t.memsys
+
+let replay_fetch_hits t ~n ~via_tlb =
+  if via_tlb then begin
+    let p = perf t in
+    p.Perf.itlb_lookups <- p.Perf.itlb_lookups + n;
+    Tlb.replay_hits t.itlb n
+  end;
+  Memsys.replay_inst_hits t.memsys n
+
 (* --- flush and idle-task operations ---------------------------------- *)
 
 let tlbie_cycles = 4

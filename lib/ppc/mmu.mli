@@ -182,6 +182,23 @@ val reference_outcome : t -> access_kind -> Addr.ea -> Shadow.outcome
     applying the same store-to-read-only protection rule as [access].
     Cache-free, cost-free, mutation-free. *)
 
+val observed : t -> bool
+(** Whether some instrument must see every access individually: a shadow
+    checker is attached, the {!Trace} is enabled, or the recorder is
+    sampling ({!Memsys.sampling}).  {!replay_fetch_hits} may only be used
+    while this is false. *)
+
+val replay_fetch_hits : t -> n:int -> via_tlb:bool -> unit
+(** [replay_fetch_hits t ~n ~via_tlb] accounts for [n] instruction
+    fetches already known to hit: in the ITLB of the current CPU (when
+    [via_tlb]; BAT-translated fetches skip the TLB) and in the I-cache.
+    Counters, cycles and the LRU clocks advance as [n] {!access_pa}
+    hits would; no slot or line is stamped.  The caller guarantees the
+    result equals the per-fetch loop: {!observed} is false, every line
+    and page concerned is resident, and all of them are fetched again
+    afterwards, so their stamps end up as the loop leaves them.
+    [Kernel.run_path] is the one caller. *)
+
 val attach_shadow : t -> Shadow.t -> unit
 (** Cross-validate every subsequent [access] against
     {!reference_outcome}, recording divergences in the checker. *)

@@ -95,6 +95,10 @@ let lookup_slot t vpn =
 
 let peek_slot t vpn = find_slot t vpn
 
+(* Hits move the clock only under LRU (FIFO and random stamp on insert
+   alone). *)
+let replay_hits t n = if t.lru_touch then t.tick <- t.tick + n
+
 let slot_vpn t i = t.vpns.(i)
 let slot_rpn t i = t.rpns.(i)
 let slot_inhibited t i = t.flags.(i) land flag_inhibited <> 0

@@ -93,6 +93,12 @@ val lookup_slot : t -> Addr.vpn -> int
 val peek_slot : t -> Addr.vpn -> int
 (** [lookup_slot] without the LRU side effect. *)
 
+val replay_hits : t -> int -> unit
+(** [replay_hits t n] advances the replacement clock as [n]
+    [lookup_slot] hits would (under [Lru] only), without stamping any
+    slot.  Sound only when the hit slots are looked up again afterwards,
+    so their stamps come out as the hits themselves would leave them. *)
+
 val slot_vpn : t -> int -> Addr.vpn
 val slot_rpn : t -> int -> int
 val slot_inhibited : t -> int -> bool

@@ -123,6 +123,30 @@ let test_geometry_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected Invalid_argument"
 
+(* A miss returns one of two preallocated results: 1000 misses that all
+   evict (half of them dirty lines) must not touch the minor heap. *)
+let test_misses_allocate_nothing () =
+  let c = mk () in
+  let line i = i * 128 * 32 in
+  let misses = ref 0 and writebacks = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 999 do
+    match
+      Cache.access c ~source:Cache.User ~inhibited:false
+        ~write:(i land 1 = 0) (line i)
+    with
+    | Cache.Miss { dirty_writeback } ->
+        incr misses;
+        if dirty_writeback then incr writebacks
+    | Cache.Hit | Cache.Bypass -> ()
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every access missed" 1000 !misses;
+  (* the LRU victim is the line stored four misses earlier: dirty for
+     even i from 4 on *)
+  Alcotest.(check int) "dirty victims written back" 498 !writebacks;
+  Alcotest.(check (float 0.)) "minor words allocated" 0. words
+
 let prop_occupancy_bounded =
   QCheck.Test.make ~name:"cache occupancy never exceeds capacity" ~count:50
     QCheck.(list_of_size (Gen.return 2000) (int_bound 0xFFFFF))
@@ -163,6 +187,8 @@ let suite =
       test_eviction_attribution;
     Alcotest.test_case "invalidate all" `Quick test_invalidate_all;
     Alcotest.test_case "geometry validation" `Quick test_geometry_validation;
+    Alcotest.test_case "misses allocate nothing" `Quick
+      test_misses_allocate_nothing;
     QCheck_alcotest.to_alcotest prop_occupancy_bounded;
     QCheck_alcotest.to_alcotest prop_hit_after_access;
     QCheck_alcotest.to_alcotest prop_dirty_bounded_by_occupancy ]

@@ -423,6 +423,106 @@ let test_user_run_faults_text () =
   Alcotest.(check bool) "instructions charged" true
     ((Kernel.perf k).Perf.instructions >= 800)
 
+(* Kernel-path replay: paths of at least 3 x 48 fetch lines charge their
+   middle fetches in one step unless a per-access observer is armed.
+   One script on a plain kernel (replay) and on a traced one (the trace
+   forces the per-fetch loop) must leave every counter, the I-cache and
+   the ITLBs in the same state.  The mmap sizes walk the path length
+   across the 1152-instruction threshold. *)
+let replay_script k =
+  let parent = Kernel.spawn k () in
+  Kernel.switch_to k parent;
+  Kernel.touch k Mmu.Store data_base;
+  Kernel.user_run k ~instrs:3000;
+  for _ = 1 to 3 do
+    Kernel.sys_null k
+  done;
+  for pages = 443 to 460 do
+    let ea = Kernel.sys_mmap k ~pages ~writable:true in
+    Kernel.touch k Mmu.Store ea;
+    Kernel.sys_munmap k ~ea ~pages
+  done;
+  let child = Kernel.sys_fork k in
+  if Kernel.cpus k > 1 then Kernel.set_active_cpu k 1;
+  Kernel.switch_to k child;
+  Kernel.touch k Mmu.Store data_base;
+  Kernel.sys_exec k ~text_pages:8 ~data_pages:8 ~stack_pages:4;
+  Kernel.user_run k ~instrs:2000;
+  Kernel.touch k Mmu.Store (Mm.user_text_base + (8 lsl Addr.page_shift));
+  Kernel.sys_null k;
+  Kernel.sys_exit k;
+  Kernel.set_active_cpu k 0;
+  Kernel.switch_to k parent;
+  Kernel.sys_null k;
+  Kernel.user_run k ~instrs:1000;
+  Kernel.sys_exit k
+
+(* Counters, occupancies, and the I-cache and per-CPU ITLBs themselves:
+   both are plain int/bool records, so structural equality compares
+   every tag, dirty bit, LRU stamp and clock. *)
+let machine_state k =
+  let m = Kernel.mmu k in
+  let ic = Memsys.icache (Kernel.memsys k) in
+  let itlbs =
+    List.init (Kernel.cpus k) (fun cpu ->
+        Kernel.set_active_cpu k cpu;
+        Mmu.itlb m)
+  in
+  ( Perf.fields (Kernel.perf k),
+    [ Cache.occupancy ic; Cache.dirty_lines ic ]
+    @ List.map Tlb.occupancy itlbs,
+    (ic, itlbs) )
+
+(* A 1 KB direct-mapped I-cache holds 32 lines, fewer than a long
+   path's 48: the second pass misses, so the replay must decline and
+   run the loop. *)
+let tiny_icache_604 =
+  { Machine.ppc604_185 with
+    Machine.name = "604 with a 1 KB I-cache";
+    icache = { Machine.cache_bytes = 1024; cache_ways = 1 } }
+
+let test_replay_matches_fetch_loop () =
+  let policies =
+    [ ("baseline", Mmu_tricks.Config.baseline);
+      ("optimized", Mmu_tricks.Config.optimized) ]
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun (pname, policy) ->
+          List.iter
+            (fun repl ->
+              let policy = { policy with Policy.tlb_replacement = repl } in
+              List.iter
+                (fun cpus ->
+                  let run ~traced =
+                    let k = Kernel.boot ~machine ~policy ~seed:11 ~cpus () in
+                    if traced then Trace.enable ~ring:16 (Kernel.trace k);
+                    Alcotest.(check bool) "observer armed" traced
+                      (Mmu.observed (Kernel.mmu k));
+                    replay_script k;
+                    machine_state k
+                  in
+                  let name =
+                    Printf.sprintf "%s/%s/%s/cpus=%d" machine.Machine.name
+                      pname (Tlb.replacement_name repl) cpus
+                  in
+                  let plain_fields, plain_occ, plain_exact =
+                    run ~traced:false
+                  in
+                  let loop_fields, loop_occ, loop_exact = run ~traced:true in
+                  Alcotest.(check (list (pair string int)))
+                    (name ^ ": perf counters") loop_fields plain_fields;
+                  Alcotest.(check (list int))
+                    (name ^ ": I-cache and ITLB occupancy") loop_occ plain_occ;
+                  Alcotest.(check bool)
+                    (name ^ ": I-cache and ITLB LRU state") true
+                    (loop_exact = plain_exact))
+                [ 1; 2 ])
+            [ Tlb.Lru; Tlb.Fifo; Tlb.Rand ])
+        policies)
+    (Machine.all @ [ tiny_icache_604 ])
+
 let suite =
   [ Alcotest.test_case "boot programs BATs" `Quick test_boot_bat;
     Alcotest.test_case "boot without BATs" `Quick test_boot_no_bat;
@@ -462,4 +562,6 @@ let suite =
     Alcotest.test_case "idle reclaim clears zombies (§7)" `Quick
       test_idle_reclaim_clears_zombies;
     Alcotest.test_case "user_run faults text" `Quick
-      test_user_run_faults_text ]
+      test_user_run_faults_text;
+    Alcotest.test_case "path replay matches the fetch loop" `Quick
+      test_replay_matches_fetch_loop ]

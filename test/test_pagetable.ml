@@ -56,15 +56,53 @@ let test_remap_updates () =
 
 let test_iter () =
   let pt, pm = mk () in
-  let eas = [ 0x01800000; 0x01801000; 0x40000000; 0x7FFFF000 ] in
+  let eas = [ 0x7FFFF000; 0x01801000; 0x40000000; 0x01800000 ] in
   List.iteri
     (fun i ea -> Pagetable.map pt ~physmem:pm ~ea (entry i))
     eas;
   let seen = ref [] in
   Pagetable.iter pt (fun ea _ -> seen := ea :: !seen);
-  Alcotest.(check (list int)) "iter visits all page bases"
-    (List.sort compare eas)
-    (List.sort compare !seen)
+  Alcotest.(check (list int)) "iter visits every page base, ascending"
+    (List.sort compare eas) (List.rev !seen);
+  (* the in-place drain: descending EA, each entry already unmapped when
+     it is handed over, nothing left afterwards *)
+  let drained = ref [] in
+  Pagetable.drain pt (fun ea e ->
+      Alcotest.(check bool) "unmapped before the callback" true
+        (Pagetable.find pt ~ea = None);
+      drained := (ea, e.Pagetable.rpn) :: !drained);
+  Alcotest.(check (list (pair int int))) "drain visits descending EA"
+    (List.sort (fun (a, _) (b, _) -> compare b a)
+       (List.mapi (fun i ea -> (ea, i)) eas))
+    (List.rev !drained);
+  Alcotest.(check int) "nothing mapped after the drain" 0
+    (Pagetable.mapped_count pt)
+
+let visits = ref 0
+let count_visit (_ : Addr.ea) (_ : Pagetable.entry) = incr visits
+
+(* Drained pte pages stay allocated until [destroy]; [iter] must pass
+   over them without a slot scan or a closure, so exit's walk of a
+   drained tree costs nothing. *)
+let test_iter_skips_emptied_pages () =
+  let pt, pm = mk () in
+  for i = 0 to 63 do
+    Pagetable.map pt ~physmem:pm ~ea:(i lsl 22) (entry i)
+  done;
+  Pagetable.drain pt (fun _ _ -> ());
+  let free = Physmem.free_frames pm in
+  visits := 0;
+  let before = Gc.minor_words () in
+  Pagetable.iter pt count_visit;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "no entry visited" 0 !visits;
+  Alcotest.(check (float 0.)) "minor words allocated" 0. words;
+  Alcotest.(check int) "directory pages kept" free (Physmem.free_frames pm);
+  (* a page refilled after the drain is visited again *)
+  Pagetable.map pt ~physmem:pm ~ea:(5 lsl 22) (entry 5);
+  Pagetable.iter pt count_visit;
+  Alcotest.(check int) "refilled page visited" 1 !visits;
+  Alcotest.(check int) "no new directory page" free (Physmem.free_frames pm)
 
 let test_destroy_frees_frames () =
   let pt, pm = mk () in
@@ -116,6 +154,8 @@ let suite =
     Alcotest.test_case "unmap" `Quick test_unmap;
     Alcotest.test_case "remap updates in place" `Quick test_remap_updates;
     Alcotest.test_case "iter" `Quick test_iter;
+    Alcotest.test_case "iter skips emptied pte pages" `Quick
+      test_iter_skips_emptied_pages;
     Alcotest.test_case "destroy frees directory frames" `Quick
       test_destroy_frees_frames;
     Alcotest.test_case "out of frames" `Quick test_out_of_frames;
